@@ -47,6 +47,12 @@ type PatternSpec struct {
 // combinations, while the automaton kernel counts shared run nodes
 // (PartialsCreated/PartialsExpired) and enumeration-time predicate
 // rejections (FilteredOut).
+//
+// NegChecks counts negation-condition evaluations (candidates that
+// passed the index probe and the interval test); NegChecks /
+// MatchesNegated is the negation check's wasted work. It is a
+// process-local diagnostic: snapshots do not carry it, so a restored
+// operator counts from zero.
 type PatternStats struct {
 	EventsSeen      uint64
 	PartialsCreated uint64
@@ -54,6 +60,7 @@ type PatternStats struct {
 	MatchesEmitted  uint64
 	MatchesNegated  uint64
 	FilteredOut     uint64
+	NegChecks       uint64
 }
 
 // Footprint is the retained state of a pattern operator: what the

@@ -168,6 +168,33 @@ func BenchmarkPatternNegationHeavy(b *testing.B) {
 	benchPattern(b, newBenchStream(evs), p)
 }
 
+// BenchmarkPatternNegationHit is the toll query's negation shape,
+// SEQ(NOT A x, A y) WHERE x.k = y.k AND x.v + 30 = y.v with v the
+// timestamp: 16 keys each report every 30 time units, and the horizon
+// keeps six same-key events live, so every report after a key's first
+// probes a six-entry bucket whose violating event (the report 30
+// earlier) is the newest before the report itself. NegationHeavy
+// covers bucket misses; this covers hits.
+func BenchmarkPatternNegationHit(b *testing.B) {
+	spec, m := compileQuerySpec(b, patternModels, 3, 80)
+	sa, _ := m.Registry.Lookup("A")
+	evs := make([]*event.Event, 0, 64*16)
+	for r := 0; r < 64; r++ {
+		for k := 0; k < 16; k++ {
+			t := event.Time(30*r + k)
+			evs = append(evs, event.MustNew(sa, t, event.Int64(int64(t)), event.Int64(int64(k))))
+		}
+	}
+	p, err := NewPattern(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPattern(b, newBenchStream(evs), p)
+	if st := p.Stats(); st.MatchesNegated == 0 {
+		b.Fatal("benchmark negated no matches")
+	}
+}
+
 // BenchmarkPatternFilterHeavy exercises the reject path: a single-step
 // pattern with a threshold predicate that discards 7 of 8 events, so
 // binding acquire/release around a failing filter dominates.

@@ -21,11 +21,12 @@ func matchTrace(ms []*Match) []string {
 }
 
 // joinHeavyStream generates a stream biased toward wide join
-// frontiers: two key values, dense duplicate timestamps, an A-heavy
-// type mix (joins fan out from step 0), and v values stepping in tens
-// so the NOT-step arithmetic filter (query 3) fires regularly.
-func joinHeavyStream(rng *rand.Rand, reg *event.Registry, n int) []*event.Event {
-	types := []string{"A", "A", "B", "C"}
+// frontiers: two key values (the float key space for float keys),
+// dense duplicate timestamps, a type mix weighted to types[0] (joins
+// fan out from step 0), and v values stepping in tens so the NOT-step
+// arithmetic filter (query 3) fires regularly.
+func joinHeavyStream(rng *rand.Rand, reg *event.Registry, types []string, n int) []*event.Event {
+	types = append([]string{types[0]}, types...)
 	evs := make([]*event.Event, 0, n)
 	ts := event.Time(0)
 	for i := 0; i < n; i++ {
@@ -34,7 +35,7 @@ func joinHeavyStream(rng *rand.Rand, reg *event.Registry, n int) []*event.Event 
 		}
 		s, _ := reg.Lookup(types[rng.Intn(len(types))])
 		e := event.MustNew(s, ts,
-			event.Int64(int64(rng.Intn(8)*10)), event.Int64(int64(rng.Intn(2))))
+			event.Int64(int64(rng.Intn(8)*10)), randomKey(rng, s.Field(1).Kind, 2))
 		e.Arrival = int64(i + 1)
 		evs = append(evs, e)
 	}
@@ -52,7 +53,7 @@ func joinHeavyStream(rng *rand.Rand, reg *event.Registry, n int) []*event.Event 
 // construction, see PatternStats).
 func TestKernelDifferentialFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1318))
-	for qi := 0; qi < 6; qi++ {
+	for qi := 0; qi < patternQueries; qi++ {
 		for trial := 0; trial < 40; trial++ {
 			spec, m := compileQuerySpec(t, patternModels, qi, int64(10+rng.Intn(80)))
 			legacy := spec
@@ -65,7 +66,7 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			evs := joinHeavyStream(rng, m.Registry, 80)
+			evs := joinHeavyStream(rng, m.Registry, streamTypes(qi), 80)
 			resetAt := -1
 			if rng.Intn(3) == 0 {
 				resetAt = rng.Intn(len(evs))

@@ -45,7 +45,11 @@ func newLegacyKernel(prog *Program) *legacyKernel {
 	}
 }
 
-func (k *legacyKernel) stats() PatternStats { return k.statsVal }
+func (k *legacyKernel) stats() PatternStats {
+	s := k.statsVal
+	s.NegChecks = k.nt.checks
+	return s
+}
 
 func (k *legacyKernel) arenaChunks() int { return k.arena.chunks }
 

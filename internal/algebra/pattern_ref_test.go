@@ -268,7 +268,7 @@ func (p *refPattern) killPending(neg *model.Negation, nv *event.Event) {
 // continues) — and requires identical emissions at every drain point.
 func TestPatternKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for qi := 0; qi < 6; qi++ {
+	for qi := 0; qi < patternQueries; qi++ {
 		for trial := 0; trial < 40; trial++ {
 			spec, m := compileQuerySpec(t, patternModels, qi, int64(10+rng.Intn(60)))
 			kernel, err := NewPattern(spec)
@@ -276,7 +276,7 @@ func TestPatternKernelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := newRefPattern(spec)
-			evs := randomStream(rng, m.Registry, 60)
+			evs := randomStream(rng, m.Registry, streamTypes(qi), 60)
 			resetAt := -1
 			if rng.Intn(2) == 0 {
 				resetAt = rng.Intn(len(evs))

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,6 +13,8 @@ const patternModels = `
 EVENT A(v int, k int)
 EVENT B(v int, k int)
 EVENT C(v int, k int)
+EVENT S(v int, k string)
+EVENT F(v int, k float)
 EVENT Out(v int)
 
 CONTEXT main DEFAULT
@@ -40,7 +43,50 @@ DERIVE Out(a.v)
 PATTERN SEQ(A a, NOT B x)
 WHERE x.k = a.k
 WITHIN 50
+
+DERIVE Out(b.v)
+PATTERN SEQ(S a, NOT S x, S b)
+WHERE a.k = b.k AND x.k = a.k
+
+DERIVE Out(p2.v)
+PATTERN SEQ(NOT F p1, F p2)
+WHERE p1.k = p2.k AND p1.v < p2.v
 `
+
+// patternQueries is the number of queries in patternModels. Queries
+// 0-5 join on int keys over A, B and C; 6 and 7 are the string- and
+// float-keyed negation shapes over S and F.
+const patternQueries = 8
+
+// streamTypes returns the event types a random stream for
+// patternModels query qi draws from.
+func streamTypes(qi int) []string {
+	if qi < 6 {
+		return []string{"A", "B", "C"}
+	}
+	return []string{"S", "F"}
+}
+
+// floatKeys is the float join-key space of random streams: 0.0 and
+// -0.0 are Value.Equal but differ bitwise, and NaN equals nothing —
+// the cases where the negation index's 64-bit key could disagree with
+// the join predicate.
+var floatKeys = []event.Value{
+	event.Float64(0), event.Float64(math.Copysign(0, -1)), event.Float64(math.NaN()), event.Float64(1.5),
+}
+
+// randomKey draws a join key of the given kind; int and string keys
+// range over n values.
+func randomKey(rng *rand.Rand, kind event.Kind, n int) event.Value {
+	switch kind {
+	case event.KindString:
+		return event.String(string(rune('x' + rng.Intn(n))))
+	case event.KindFloat:
+		return floatKeys[rng.Intn(len(floatKeys))]
+	default:
+		return event.Int64(int64(rng.Intn(n)))
+	}
+}
 
 // mev builds an event on the test schemas registered in the compiled
 // model (schemas are matched by pointer identity, so events must use
@@ -284,13 +330,14 @@ func TestNewPatternValidation(t *testing.T) {
 
 // TestPatternMatchesBruteForce is the core property test: the
 // incremental matcher agrees with exhaustive enumeration on random
-// streams, across all six query shapes.
+// streams, across every query shape — including the string- and
+// float-keyed negations, whose streams mix 0.0, -0.0 and NaN keys.
 func TestPatternMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for qi := 0; qi < 6; qi++ {
+	for qi := 0; qi < patternQueries; qi++ {
 		spec, m := compileQuerySpec(t, patternModels, qi, 1000)
 		for trial := 0; trial < 60; trial++ {
-			evs := randomStream(rng, m.Registry, 24)
+			evs := randomStream(rng, m.Registry, streamTypes(qi), 24)
 			p, err := NewPattern(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -305,15 +352,14 @@ func TestPatternMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func randomStream(rng *rand.Rand, reg *event.Registry, n int) []*event.Event {
-	types := []string{"A", "B", "C"}
+func randomStream(rng *rand.Rand, reg *event.Registry, types []string, n int) []*event.Event {
 	evs := make([]*event.Event, 0, n)
 	ts := event.Time(0)
 	for i := 0; i < n; i++ {
 		ts += event.Time(rng.Intn(3)) // duplicate timestamps happen
 		s, _ := reg.Lookup(types[rng.Intn(len(types))])
 		evs = append(evs, event.MustNew(s, ts,
-			event.Int64(int64(rng.Intn(80))), event.Int64(int64(rng.Intn(3)))))
+			event.Int64(int64(rng.Intn(80))), randomKey(rng, s.Field(1).Kind, 3)))
 	}
 	return evs
 }

@@ -141,7 +141,11 @@ func newAutoKernel(prog *Program) *autoKernel {
 	return k
 }
 
-func (k *autoKernel) stats() PatternStats { return k.statsVal }
+func (k *autoKernel) stats() PatternStats {
+	s := k.statsVal
+	s.NegChecks = k.nt.checks
+	return s
+}
 
 func (k *autoKernel) arenaChunks() int { return k.arena.chunks }
 

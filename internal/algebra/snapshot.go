@@ -371,15 +371,15 @@ func (k *autoKernel) load(d *wire.Dec, evs *wire.RestoredEvents) error {
 }
 
 // save writes the live portion of every negation buffer. The hash
-// indexes are not written: load rebuilds them through observe, which
-// reproduces the bucket layout deterministically.
+// indexes are not written: their string keys are seeded per process,
+// so load rebuilds them through observe under its own seed.
 func (nt *negTracker) save(enc *wire.Enc, tab *wire.EventTable) {
 	enc.Uvarint(uint64(len(nt.buf)))
 	for j := range nt.buf {
 		live := nt.buf[j][nt.head[j]:]
 		enc.Uvarint(uint64(len(live)))
-		for _, e := range live {
-			enc.Uvarint(tab.ID(e))
+		for _, en := range live {
+			enc.Uvarint(tab.ID(en.ev))
 		}
 	}
 }

@@ -55,14 +55,14 @@ func loadPattern(t *testing.T, p *Pattern, data []byte, reg *event.Registry) {
 // the end (the encoding is deterministic and state-converged).
 func TestPatternSnapshotFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(2451))
-	for qi := 0; qi < 6; qi++ {
+	for qi := 0; qi < patternQueries; qi++ {
 		for trial := 0; trial < 30; trial++ {
 			spec, m := compileQuerySpec(t, patternModels, qi, int64(10+rng.Intn(80)))
 			orig, err := NewPattern(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			evs := joinHeavyStream(rng, m.Registry, 80)
+			evs := joinHeavyStream(rng, m.Registry, streamTypes(qi), 80)
 			cutIdx := rng.Intn(len(evs))
 			// Align the cut to a tick boundary like the runtime does.
 			for cutIdx > 0 && evs[cutIdx-1].End() == evs[cutIdx].End() {
@@ -126,7 +126,11 @@ func TestPatternSnapshotFuzz(t *testing.T) {
 				t.Fatalf("query %d trial %d cut %d: restored kernel diverges\nstream: %v\n    orig: %v\nrestored: %v",
 					qi, trial, cutIdx, evs, wantAll, gotAll)
 			}
-			if os, rs := orig.Stats(), restored.Stats(); os != rs {
+			// NegChecks is process-local (not snapshotted): the restored
+			// operator counts only post-restore checks.
+			os, rs := orig.Stats(), restored.Stats()
+			os.NegChecks, rs.NegChecks = 0, 0
+			if os != rs {
 				t.Fatalf("query %d trial %d: stats diverge after restore\n    orig: %+v\nrestored: %+v",
 					qi, trial, os, rs)
 			}
@@ -160,7 +164,7 @@ func TestPatternSnapshotRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	evs := joinHeavyStream(rng, m.Registry, 60)
+	evs := joinHeavyStream(rng, m.Registry, streamTypes(2), 60)
 	out := p.Advance(evs[0].End(), nil)
 	for i := 0; i < len(evs); i++ {
 		out = p.Advance(evs[i].End(), out[:0])

@@ -97,6 +97,7 @@ type queryMetrics struct {
 	matches     telemetry.Counter
 	filteredOut telemetry.Counter
 	negated     telemetry.Counter
+	negChecks   telemetry.Counter
 	arenaChunks telemetry.Counter
 	partials    telemetry.Gauge
 	negBuffered telemetry.Gauge
@@ -158,6 +159,7 @@ func (rm *runMetrics) reset() {
 		qm.matches.Reset()
 		qm.filteredOut.Reset()
 		qm.negated.Reset()
+		qm.negChecks.Reset()
 		qm.arenaChunks.Reset()
 		qm.partials.Set(0)
 		qm.negBuffered.Set(0)
@@ -222,6 +224,7 @@ func (rm *runMetrics) register(reg *telemetry.Registry, e *Engine, workers []*wo
 		reg.Register("caesar_query_matches_total", "pattern matches emitted", &qm.matches, lbl)
 		reg.Register("caesar_query_filtered_total", "matches rejected by predicates", &qm.filteredOut, lbl)
 		reg.Register("caesar_query_negated_total", "matches invalidated by negation", &qm.negated, lbl)
+		reg.Register("caesar_query_negation_checks_total", "negation conditions evaluated against buffered candidates", &qm.negChecks, lbl)
 		reg.Register("caesar_query_arena_chunks_total", "arena slabs allocated", &qm.arenaChunks, lbl)
 		reg.Register("caesar_query_partials", "retained partial matches", &qm.partials, lbl)
 		reg.Register("caesar_query_neg_buffered", "buffered negation events", &qm.negBuffered, lbl)

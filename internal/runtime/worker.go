@@ -450,6 +450,7 @@ func (is *instanceState) publishDetail(rm *runMetrics) {
 	qm.matches.Add(st.MatchesEmitted - is.lastStats.MatchesEmitted)
 	qm.filteredOut.Add(st.FilteredOut - is.lastStats.FilteredOut)
 	qm.negated.Add(st.MatchesNegated - is.lastStats.MatchesNegated)
+	qm.negChecks.Add(st.NegChecks - is.lastStats.NegChecks)
 	is.lastStats = st
 	is.publishFootprint(rm)
 }

@@ -62,6 +62,7 @@ echo "== bench guard (0 allocs/op hot paths)"
 check_zero_allocs 'BenchmarkPatternTwoStepJoin$' ./internal/algebra/
 check_zero_allocs 'BenchmarkPatternExtensionHeavy$' ./internal/algebra/
 check_zero_allocs 'BenchmarkPatternNegationHeavy$' ./internal/algebra/
+check_zero_allocs 'BenchmarkPatternNegationHit$' ./internal/algebra/
 check_zero_allocs 'BenchmarkDistributor$' ./internal/runtime/
 check_zero_allocs 'BenchmarkShardRouter$' ./internal/runtime/
 check_zero_allocs 'BenchmarkSpscRing$' ./internal/runtime/
