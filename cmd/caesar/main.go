@@ -20,7 +20,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/caesar-cep/caesar/internal/core"
@@ -95,7 +94,6 @@ func main() {
 		serve(m, *listen, *admin, engCfg)
 		return
 	}
-	out := event.NewWriter(os.Stdout)
 	cfg := engCfg
 	if *admin != "" {
 		reg := telemetry.NewRegistry()
@@ -108,14 +106,11 @@ func main() {
 			Build:    telemetry.BuildInfo{Config: cfg.Summary()},
 		}))
 	}
+	var sink *event.LineSink
 	if !*quiet {
-		var mu sync.Mutex
-		cfg.OnOutput = func(e *event.Event) {
-			// Called concurrently from worker goroutines.
-			mu.Lock()
-			_ = out.Write(e)
-			mu.Unlock()
-		}
+		sink = event.NewLineSink(os.Stdout)
+		cfg.OnOutput = sink.Emit
+		cfg.OnIdle = sink.Idle
 	}
 	eng, err := core.NewEngine(m, cfg)
 	if err != nil {
@@ -127,7 +122,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	_ = out.Flush()
+	if sink != nil {
+		if err := sink.Close(); err != nil {
+			fail(err)
+		}
+	}
 	fmt.Fprintf(os.Stderr,
 		"caesar: %d events in, %d derived, %d partitions, %d transitions\n",
 		st.Events, st.OutputCount, st.Partitions, st.Transitions)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -12,6 +13,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/caesar-cep/caesar/internal/core"
+	"github.com/caesar-cep/caesar/internal/event"
+	"github.com/caesar-cep/caesar/internal/model"
 )
 
 // buildCmd compiles a command of this module into dir and returns the
@@ -420,6 +425,142 @@ func TestDurableKillResume(t *testing.T) {
 	}
 	if !strings.Contains(resErr.String(), "derived") {
 		t.Errorf("resumed run printed no stats:\n%s", resErr.String())
+	}
+}
+
+const lockstepModel = `
+EVENT Reading(sensor int, temp int)
+EVENT Alarm(sensor int, temp int)
+
+CONTEXT normal DEFAULT
+CONTEXT overheated
+
+SWITCH CONTEXT overheated
+PATTERN Reading r
+WHERE r.temp > 90
+CONTEXT normal
+
+SWITCH CONTEXT normal
+PATTERN Reading r
+WHERE r.temp < 70
+CONTEXT overheated
+
+DERIVE Alarm(r.sensor, r.temp)
+PATTERN Reading r
+CONTEXT overheated
+`
+
+// TestLockstepOutputPipes is the output path's latency contract over
+// stdin/stdout: once caesar has read tick T and the first event of
+// T+1, every derived line of T reaches stdout before anything more is
+// written to stdin. Ticks hold 512 events because the reader closes a
+// batch only at a tick boundary past 512 events; each derives a few
+// short lines, far below any buffer size.
+func TestLockstepOutputPipes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	caesarBin := buildCmd(t, dir, "./cmd/caesar")
+	modelPath := filepath.Join(dir, "lockstep.caesar")
+	if err := os.WriteFile(modelPath, []byte(lockstepModel), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.CompileSource(lockstepModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every 64th sensor runs hot for one tick; its next reading derives
+	// an Alarm and switches it back.
+	const nTicks, tickEvents = 8, 512
+	ticks := make([][]string, nTicks)
+	var all strings.Builder
+	for i := range ticks {
+		for s := 0; s < tickEvents; s++ {
+			temp := 50
+			if (s+i)%64 == 0 {
+				temp = 95
+			}
+			ticks[i] = append(ticks[i], fmt.Sprintf("Reading|%d|%d|%d", i+1, s, temp))
+		}
+		all.WriteString(strings.Join(ticks[i], "\n") + "\n")
+	}
+	ref, err := core.NewEngine(m, core.Config{PartitionBy: []string{"sensor"}, Workers: 1, CollectOutputs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ref.Run(event.NewReader(strings.NewReader(all.String()), m.Registry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[event.Time]int{}
+	for _, e := range st.Outputs {
+		want[e.End()]++
+	}
+
+	for _, shards := range []string{"1", "2"} {
+		t.Run("shards="+shards, func(t *testing.T) {
+			run := exec.Command(caesarBin, "-model", modelPath, "-partition-by", "sensor", "-shards", shards)
+			stdin, err := run.StdinPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stdout, err := run.StdoutPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer run.Wait()
+			defer run.Process.Kill()
+			lines := make(chan string, 64)
+			go func() {
+				defer close(lines)
+				sc := bufio.NewScanner(stdout)
+				for sc.Scan() {
+					lines <- sc.Text()
+				}
+			}()
+			send := func(lns []string) {
+				if _, err := io.WriteString(stdin, strings.Join(lns, "\n")+"\n"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			send(ticks[0][:1])
+			for i := 0; i+1 < nTicks; i++ {
+				send(ticks[i][1:])
+				send(ticks[i+1][:1])
+				ts := event.Time(i + 1)
+				timeout := time.After(2 * time.Second)
+				for got := 0; got < want[ts]; {
+					select {
+					case ln, ok := <-lines:
+						if !ok {
+							t.Fatalf("tick %d: stdout closed", ts)
+						}
+						if !strings.HasPrefix(ln, fmt.Sprintf("Alarm|%d|", ts)) {
+							t.Fatalf("tick %d: unexpected line %q", ts, ln)
+						}
+						got++
+					case <-timeout:
+						t.Fatalf("tick %d: %d of %d derived lines reached stdout within 2s", ts, got, want[ts])
+					}
+				}
+			}
+			send(ticks[nTicks-1][1:])
+			if err := stdin.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rest := 0
+			for range lines {
+				rest++
+			}
+			if rest != want[nTicks] {
+				t.Errorf("final tick: %d lines after end of input, want %d", rest, want[nTicks])
+			}
+		})
 	}
 }
 

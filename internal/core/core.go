@@ -81,8 +81,13 @@ type Config struct {
 	// events; 0 picks the default.
 	DerivedChunkEvents int
 	// OnOutput receives every derived event; called concurrently
-	// from worker goroutines.
+	// from worker goroutines. A consumer that buffers should flush in
+	// OnIdle, or results wait for later output to push them out.
 	OnOutput func(*event.Event)
+	// OnIdle is called when a goroutine delivering OnOutput has
+	// nothing left to deliver and is about to wait for more (see
+	// runtime.Config.OnIdle).
+	OnIdle func()
 	// Telemetry, when non-nil, receives the runtime's live metric
 	// families on each Run (see runtime.Config.Telemetry).
 	Telemetry *telemetry.Registry
@@ -194,6 +199,7 @@ func NewEngine(m *model.Model, cfg Config) (*Engine, error) {
 		DisablePipeline: cfg.DisablePipeline,
 		CollectOutputs:  cfg.CollectOutputs,
 		OnOutput:        cfg.OnOutput,
+		OnIdle:          cfg.OnIdle,
 		Telemetry:       cfg.Telemetry,
 		Tracer:          cfg.Tracer,
 		Stages:          cfg.Stages,

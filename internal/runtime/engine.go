@@ -121,8 +121,17 @@ type Config struct {
 	// goroutines; on the sharded runtime (Shards > 1) it is called
 	// from a single merger goroutine in deterministic order — sorted
 	// by derivation tick, then shard, then emission order (the
-	// ordered merge layer, DESIGN.md §3.6).
+	// ordered merge layer, DESIGN.md §3.6). A consumer that buffers
+	// should flush in OnIdle: nothing else tells it that no output is
+	// about to follow.
 	OnOutput func(*event.Event)
+	// OnIdle, when set, is called by a goroutine that delivers OnOutput
+	// once it has delivered everything it holds and is about to wait for
+	// more: a legacy-pool worker whose queue is empty after a tick, or
+	// the sharded runtime's merger after a release with no wake-up
+	// pending (DESIGN.md §3.10). On the legacy pipeline it is called
+	// concurrently from worker goroutines.
+	OnIdle func()
 	// Telemetry, when set, registers the run's live metrics with the
 	// registry: per-worker transaction counters and latency
 	// histograms, per-context window activity, per-query operator

@@ -40,6 +40,7 @@ const mergeRingDepth = 64
 type outputMerger struct {
 	shards []*engineShard
 	out    func(*event.Event)
+	idle   func() // Config.OnIdle; nil when unset
 
 	rings []*spscRing[outRun]         // shard → merger
 	free  []*spscRing[[]*event.Event] // merger → shard (slice recycling)
@@ -59,10 +60,11 @@ type outputMerger struct {
 	released atomic.Int64
 }
 
-func newOutputMerger(shards []*engineShard, out func(*event.Event)) *outputMerger {
+func newOutputMerger(shards []*engineShard, out func(*event.Event), idle func()) *outputMerger {
 	m := &outputMerger{
 		shards:  shards,
 		out:     out,
+		idle:    idle,
 		rings:   make([]*spscRing[outRun], len(shards)),
 		free:    make([]*spscRing[[]*event.Event], len(shards)),
 		pending: make([][]outRun, len(shards)),
@@ -165,6 +167,14 @@ func (m *outputMerger) loop() {
 			// ever pushed was drained above and released (safe is
 			// MaxInt64 with no live shards). Done.
 			return
+		}
+		if m.idle != nil {
+			select {
+			case <-m.wakeCh:
+				continue // more to release: stay busy
+			default:
+			}
+			m.idle()
 		}
 		<-m.wakeCh
 	}

@@ -31,7 +31,7 @@ func newMergeHarness(n int) *mergeHarness {
 		h.mu.Lock()
 		h.out = append(h.out, e)
 		h.mu.Unlock()
-	})
+	}, nil)
 	go h.m.loop()
 	return h
 }

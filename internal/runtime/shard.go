@@ -498,7 +498,7 @@ func newShardedRun(e *Engine, n int) *shardedRun {
 		r.workers[i] = r.shards[i].w
 	}
 	if e.cfg.OnOutput != nil {
-		r.mrg = newOutputMerger(r.shards, e.cfg.OnOutput)
+		r.mrg = newOutputMerger(r.shards, e.cfg.OnOutput, e.cfg.OnIdle)
 		for _, s := range r.shards {
 			s.mrg = r.mrg
 			s.w.merged = true

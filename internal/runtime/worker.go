@@ -249,6 +249,9 @@ func (w *worker) loop() {
 		// worker assignment is fixed), and their pattern state reaches
 		// at most 2·maxHorizon back (the slack term).
 		w.reclaimDerived(int64(msg.ts) - w.slack)
+		if idle := w.eng.cfg.OnIdle; idle != nil && len(w.ch) == 0 {
+			idle()
+		}
 	}
 }
 

@@ -22,13 +22,22 @@
 // stream cannot corrupt another. Events within a connection must be
 // in non-decreasing time order, as everywhere in the engine.
 //
+// Derived lines are buffered and flushed whenever the engine has
+// delivered everything it holds (event.LineSink on the engine's
+// OnIdle hook), so a result reaches the client without waiting for
+// later input or output. The first failed write ends the session: the
+// server closes the connection, stops decoding the client's input and
+// sends no trailer.
+//
 // The server also exposes its live telemetry over HTTP: AdminHandler
 // serves Prometheus /metrics, JSON /statusz and /debug/pprof from the
 // shared telemetry registry (see internal/telemetry). All sessions
 // publish into one registry; metric families registered per run
 // replace their predecessors, so live gauges reflect the most
 // recently started session while counters from the final report stay
-// scrapeable until then.
+// scrapeable until then. The server's own counters,
+// caesar_output_writes_total and caesar_output_bytes_total, cover
+// every session and count what was written to the connections.
 package server
 
 import (
@@ -48,10 +57,10 @@ import (
 type Config struct {
 	// Model is the compiled CAESAR model shared by all sessions.
 	Model *model.Model
-	// Engine is the per-session engine configuration. CollectOutputs
-	// and OnOutput are managed by the server and must be unset. When
-	// Engine.Telemetry is nil the server creates its own registry; the
-	// effective registry is available via Registry/AdminHandler.
+	// Engine is the per-session engine configuration. CollectOutputs,
+	// OnOutput and OnIdle are managed by the server and must be unset.
+	// When Engine.Telemetry is nil the server creates its own registry;
+	// the effective registry is available via Registry/AdminHandler.
 	Engine core.Config
 }
 
@@ -59,6 +68,11 @@ type Config struct {
 type Server struct {
 	cfg Config
 	reg *telemetry.Registry
+
+	// writes and bytes count what every session wrote to its
+	// connection: derived lines, trailers and error lines.
+	writes telemetry.Counter
+	bytes  telemetry.Counter
 
 	mu       sync.Mutex
 	sessions int
@@ -69,8 +83,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("server: nil model")
 	}
-	if cfg.Engine.CollectOutputs || cfg.Engine.OnOutput != nil {
-		return nil, fmt.Errorf("server: CollectOutputs/OnOutput are managed per session")
+	if cfg.Engine.CollectOutputs || cfg.Engine.OnOutput != nil || cfg.Engine.OnIdle != nil {
+		return nil, fmt.Errorf("server: CollectOutputs/OnOutput/OnIdle are managed per session")
 	}
 	if cfg.Engine.Telemetry == nil {
 		cfg.Engine.Telemetry = telemetry.NewRegistry()
@@ -79,7 +93,12 @@ func New(cfg Config) (*Server, error) {
 	if _, err := core.NewEngine(cfg.Model, cfg.Engine); err != nil {
 		return nil, err
 	}
-	return &Server{cfg: cfg, reg: cfg.Engine.Telemetry}, nil
+	s := &Server{cfg: cfg, reg: cfg.Engine.Telemetry}
+	s.reg.Register("caesar_output_writes_total",
+		"Write calls on session connections (derived lines, trailers, errors).", &s.writes)
+	s.reg.Register("caesar_output_bytes_total",
+		"Bytes written to session connections.", &s.bytes)
+	return s, nil
 }
 
 // Registry returns the telemetry registry all sessions publish into.
@@ -111,32 +130,49 @@ func (s *Server) Serve(l net.Listener) error {
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 
-	out := event.NewWriter(conn)
-	var outMu sync.Mutex
+	out := connWriter{conn: conn, s: s}
+	sink := event.NewLineSink(out)
 	cfg := s.cfg.Engine
-	cfg.OnOutput = func(e *event.Event) {
-		outMu.Lock()
-		_ = out.Write(e)
-		outMu.Unlock()
-	}
+	cfg.OnOutput = sink.Emit
+	cfg.OnIdle = sink.Idle
 	eng, err := core.NewEngine(s.cfg.Model, cfg)
 	if err != nil {
-		fmt.Fprintf(conn, "#error %v\n", err)
+		fmt.Fprintf(out, "#error %v\n", err)
 		return
 	}
-	r := event.NewReader(conn, s.cfg.Model.Registry)
-	st, err := eng.Run(r)
-	outMu.Lock()
-	defer outMu.Unlock()
-	_ = out.Flush()
+	st, err := eng.Run(event.NewReader(conn, s.cfg.Model.Registry))
+	if sink.Close() != nil {
+		return // the client is gone; out has closed the connection
+	}
 	if err != nil {
-		fmt.Fprintf(conn, "#error %v\n", err)
+		fmt.Fprintf(out, "#error %v\n", err)
 		return
 	}
-	fmt.Fprintf(conn, "#stats events=%d outputs=%d transitions=%d partitions=%d suspended=%d max_latency=%s p99_latency=%s%s batches=%d\n",
+	fmt.Fprintf(out, "#stats events=%d outputs=%d transitions=%d partitions=%d suspended=%d max_latency=%s p99_latency=%s%s batches=%d\n",
 		st.Events, st.OutputCount, st.Transitions, st.Partitions,
 		st.SuspendedSkips, st.MaxLatency, st.P99Latency, contextFields(st.Contexts),
 		st.Batches)
+}
+
+// connWriter is a session's output connection: it counts writes and
+// bytes into the server's metrics and closes the connection on the
+// first failed write. Closing ends the session early: the engine's
+// reader fails on its next read, so a client that hung up does not
+// have the rest of its buffered input decoded and derived into a dead
+// socket.
+type connWriter struct {
+	conn net.Conn
+	s    *Server
+}
+
+func (c connWriter) Write(p []byte) (int, error) {
+	n, err := c.conn.Write(p)
+	c.s.writes.Inc()
+	c.s.bytes.Add(uint64(n))
+	if err != nil {
+		_ = c.conn.Close() // the write error is what the caller reports
+	}
+	return n, err
 }
 
 // contextFields renders the per-context trailer fields (" ctx:NAME=A/S"

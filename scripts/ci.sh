@@ -136,4 +136,14 @@ echo "== go test -race (durability: crash recovery differential)"
 go test -race -count=2 -run 'TestCrashRecoveryDifferential|TestDurableResumeAfterCleanFinish' ./internal/runtime/
 go test -race -count=2 ./internal/durability/ ./internal/wire/
 
+# Output path (DESIGN.md §3.10) under the race detector on one and two
+# cores: lockstep clients must receive each tick's derived lines
+# before sending more (TCP on both runtimes, and stdin/stdout), a
+# stalled reader loses nothing, and a dead client ends its session.
+echo "== go test -race (output path: lockstep latency, dead client)"
+for procs in 1 2; do
+    GOMAXPROCS=$procs go test -race -count=3 ./internal/server/
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestLockstepOutputPipes' ./cmd/caesar/
+done
+
 echo "== ci OK"
