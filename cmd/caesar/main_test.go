@@ -204,9 +204,11 @@ func TestTraceHealthEndpointSmoke(t *testing.T) {
 	}
 
 	// Sharded runtime, every tick sampled, paced so scrapes observe a
-	// live run with spans in flight.
+	// live run with spans in flight. -shards 0 resolves to GOMAXPROCS in
+	// the CLI, so the child runs two shards.
 	run := exec.Command(caesarBin, "-model", modelPath, "-partition-by", "xway,dir,seg",
-		"-quiet", "-admin", "127.0.0.1:0", "-pacing", "5ms", "-shards", "2", "-trace-sample", "1")
+		"-quiet", "-admin", "127.0.0.1:0", "-pacing", "5ms", "-shards", "0", "-trace-sample", "1")
+	run.Env = append(os.Environ(), "GOMAXPROCS=2")
 	run.Stdin = bytes.NewReader(events)
 	stderrPipe, err := run.StderrPipe()
 	if err != nil {

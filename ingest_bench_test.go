@@ -90,32 +90,3 @@ func BenchmarkEngineBatchStream(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*int(n)), "ns/event")
 }
-
-// BenchmarkEngineSyncIngest is the preserved pre-pipeline loop over
-// the same stream — the before side of the ingest rebuild's ledger.
-func BenchmarkEngineSyncIngest(b *testing.B) {
-	eng, err := NewFromSource(dispatchBenchModel, Config{
-		PartitionBy:     LinearRoadPartitionBy(),
-		Workers:         4,
-		DisablePipeline: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	events, err := GenerateLinearRoad(dispatchGen(), eng.Registry())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := eng.Run(NewSliceSource(events))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Events != uint64(len(events)) {
-			b.Fatal("events lost")
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
-}

@@ -5,32 +5,28 @@ import (
 )
 
 // kernelArena is the pattern operator's allocation recycler (see
-// DESIGN.md §3.2). The pattern hot loop used to heap-allocate three
-// things per extension: a *partial record, a fresh binding slice, and
-// (on completion) a *Match. The arena replaces all three with
-// free-list recycling backed by chunked slabs:
+// DESIGN.md §3.2): free-list recycling backed by chunked slabs, so the
+// pattern hot loop allocates neither run nodes, bindings nor matches:
 //
-//   - partial records are carved from fixed-size chunks; a chunk is
-//     never reallocated, so record pointers stay valid for the
-//     operator's lifetime, and retired records return to a free list;
+//   - run nodes are carved from fixed-size chunks; a chunk is never
+//     reallocated, so node pointers stay valid for the operator's
+//     lifetime, and retired nodes return to a free list with their
+//     generation stamp bumped;
 //   - bindings are fixed-stride regions (stride = the query's slot
 //     count) carved from chunked flat backing arrays. A region's
-//     lifetime follows its owner: partial → Match → released back to
-//     the free list when the partial expires, the match is rejected,
-//     or the caller returns emitted matches via Pattern.Release;
-//   - Match and pendingMatch records recycle the same way.
+//     lifetime follows its Match: released back to the free list when
+//     the match is rejected or killed, or when the caller returns
+//     emitted matches via Pattern.Release;
+//   - Match and pendingMatch records, negation buckets, predecessor
+//     lists and run buckets recycle the same way.
 //
-// In steady state — free lists warm — partial extension performs no
-// heap allocation at all; growth allocates one chunk per chunkSize
-// records, amortizing to well under one allocation per operation.
+// In steady state — free lists warm — run extension performs no heap
+// allocation at all; growth allocates one chunk per chunkSize records,
+// amortizing to well under one allocation per operation.
 //
 // The arena is single-goroutine, like the operator that owns it.
 type kernelArena struct {
 	stride int // binding slots per region
-
-	partialChunk []partial // current slab; carved, never grown in place
-	partialUsed  int
-	partialFree  []*partial
 
 	bindChunk []*event.Event // current flat backing slab
 	bindUsed  int
@@ -40,16 +36,16 @@ type kernelArena struct {
 	pendFree   []*pendingMatch
 	bucketFree []*negBucket
 
-	// Automaton-kernel pools: run nodes carve from chunked slabs like
-	// partial records (pointer-stable, generation-stamped on reuse);
-	// predecessor lists and run buckets recycle whole backing slices.
+	// Run nodes carve from chunked slabs (pointer-stable,
+	// generation-stamped on reuse); predecessor lists and run buckets
+	// recycle whole backing slices.
 	nodeChunk    []runNode
 	nodeUsed     int
 	nodeFree     []*runNode
 	predListFree [][]predRef
 	runBktFree   []*runBucket
 
-	// chunks counts slab allocations (partial and binding chunks) —
+	// chunks counts slab allocations (node and binding chunks) —
 	// the arena's growth, surfaced by the telemetry layer as the
 	// per-operator occupancy signal: a steady state allocates no new
 	// chunks, so the counter flat-lines once the free lists warm up.
@@ -62,30 +58,6 @@ const chunkSize = 256
 
 func newKernelArena(stride int) *kernelArena {
 	return &kernelArena{stride: stride}
-}
-
-// getPartial returns a zeroed partial record without a binding.
-func (a *kernelArena) getPartial() *partial {
-	if n := len(a.partialFree); n > 0 {
-		p := a.partialFree[n-1]
-		a.partialFree = a.partialFree[:n-1]
-		return p
-	}
-	if a.partialUsed == len(a.partialChunk) {
-		a.partialChunk = make([]partial, chunkSize)
-		a.partialUsed = 0
-		a.chunks++
-	}
-	p := &a.partialChunk[a.partialUsed]
-	a.partialUsed++
-	return p
-}
-
-// putPartial retires a record and its binding region.
-func (a *kernelArena) putPartial(p *partial) {
-	a.putBinding(p.binding)
-	p.binding = nil
-	a.partialFree = append(a.partialFree, p)
 }
 
 // getBinding returns a zeroed binding region of stride slots. The

@@ -10,9 +10,7 @@ import (
 
 // negTracker owns the negation side of a pattern operator: the
 // per-negation event buffers, their hash indexes and the
-// completion-time violation checks. Both kernels (the automaton and
-// the preserved legacy kernel) share it, so negation semantics are
-// identical by construction.
+// completion-time violation checks.
 //
 // buf[j] buffers events of negation j's type, bounded by 2*Horizon so
 // that completion-time checks see every event that can fall within a

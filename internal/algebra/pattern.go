@@ -4,7 +4,6 @@ import (
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/model"
 	"github.com/caesar-cep/caesar/internal/predicate"
-	"github.com/caesar-cep/caesar/internal/wire"
 )
 
 // PatternSpec configures a pattern operator instance.
@@ -25,11 +24,6 @@ type PatternSpec struct {
 	// DisableNegIndex turns off the negation-buffer hash index (used
 	// by the ablation benchmarks to quantify its benefit).
 	DisableNegIndex bool
-	// LegacyKernel selects the preserved per-combination partial
-	// kernel instead of the shared-run automaton. The differential
-	// tests and ablation benchmarks use it; production plans leave it
-	// off.
-	LegacyKernel bool
 	// Horizon bounds the time span of a match: a partial match whose
 	// first event is older than Horizon expires, and a trailing
 	// negation holds back emission for Horizon time units. Must be
@@ -38,15 +32,9 @@ type PatternSpec struct {
 }
 
 // PatternStats counts the work a pattern instance has performed; the
-// benchmark harness and tests read these.
-//
-// EventsSeen, MatchesEmitted and MatchesNegated are kernel-independent
-// (the differential tests assert exact parity across kernels). The
-// remaining counters describe kernel-internal work and differ by
-// construction: the legacy kernel counts materialized partial
-// combinations, while the automaton kernel counts shared run nodes
-// (PartialsCreated/PartialsExpired) and enumeration-time predicate
-// rejections (FilteredOut).
+// benchmark harness and tests read these. PartialsCreated and
+// PartialsExpired count shared run nodes; FilteredOut counts predicate
+// rejections, including enumeration-time ones.
 //
 // NegChecks counts negation-condition evaluations (candidates that
 // passed the index probe and the interval test); NegChecks /
@@ -65,13 +53,11 @@ type PatternStats struct {
 
 // Footprint is the retained state of a pattern operator: what the
 // garbage collector, the telemetry gauges and the tests observe.
-// Partials counts legacy-kernel partial combinations; RunNodes and
-// PredEntries count the automaton kernel's shared-run DAG (nodes and
+// RunNodes and PredEntries count the shared-run DAG (nodes and
 // predecessor-set entries — a range predecessor counts as one entry
-// regardless of how many nodes it spans, which is exactly the
-// sharing the automaton buys).
+// regardless of how many nodes it spans, which is exactly the sharing
+// the automaton buys).
 type Footprint struct {
-	Partials    int
 	NegBuffered int
 	Pending     int
 	RunNodes    int
@@ -81,22 +67,7 @@ type Footprint struct {
 // Retained sums the footprint's record counts (used by tests that
 // only care whether state is held at all).
 func (f Footprint) Retained() int {
-	return f.Partials + f.NegBuffered + f.Pending + f.RunNodes + f.PredEntries
-}
-
-// kernel is the internal engine behind a Pattern: either the
-// shared-run automaton (runs.go) or the preserved legacy kernel
-// (pattern_legacy.go). Both consume the same compiled Program.
-type kernel interface {
-	advance(now event.Time, out []*Match) []*Match
-	process(batch []*event.Event, out []*Match) []*Match
-	reset()
-	stats() PatternStats
-	footprint() Footprint
-	release(ms []*Match)
-	arenaChunks() int
-	save(enc *wire.Enc, tab *wire.EventTable) error
-	load(d *wire.Dec, evs *wire.RestoredEvents) error
+	return f.NegBuffered + f.Pending + f.RunNodes + f.PredEntries
 }
 
 // Pattern is the P operator (paper §4.1): it consumes an event
@@ -108,23 +79,52 @@ type kernel interface {
 // The spec is first compiled into a Program (automaton.go): the SEQ
 // steps become automaton states, and WHERE conjuncts are scheduled
 // onto the earliest transition (or the latest enumeration level)
-// where their variables are bound. The default kernel then runs the
-// program over a shared-run DAG (runs.go) with lazy match
-// enumeration; PatternSpec.LegacyKernel selects the preserved
-// per-combination kernel instead.
+// where their variables are bound. The operator runs the program over
+// a shared-run DAG (runs.go, DESIGN.md §3.5): ONE run node per
+// (state, consumed event), back-pointing to its whole predecessor set
+// — a contiguous range of a predecessor bucket when the transition has
+// no per-pair residual filters, an explicit list otherwise. Update
+// work per event is therefore independent of how many combinations
+// the event participates in; full matches are enumerated lazily from
+// the DAG only when a completion event arrives, walking back-pointers
+// oldest-first.
 //
-// All kernel state — run nodes, partial records, binding regions,
-// Match and pendingMatch records — lives in a per-operator arena
-// (arena.go) and recycles on expiry, rejection, Reset and Release,
-// so steady-state processing performs no heap allocation.
+// All operator state — run nodes, binding regions, Match and
+// pendingMatch records — lives in a per-operator arena (arena.go) and
+// recycles on expiry, rejection, Reset and Release, so steady-state
+// processing performs no heap allocation.
 type Pattern struct {
-	prog *Program
-	k    kernel
+	prog  *Program
+	arena *kernelArena
+	nt    *negTracker
+
+	// states[s] (0 <= s <= n-2) holds the runs that have bound steps
+	// 0..s and await step s+1; nil for single-step patterns.
+	states []*runState
+
+	pending []*pendingMatch
+	// pendSorted tracks whether pending is nondecreasing in lastEnd;
+	// trailing-negation kills then scan only the eligible prefix
+	// (lastEnd < violator start) instead of the whole list.
+	pendSorted bool
+
+	// curCut is the monotone maximum of (now - Horizon) over all
+	// Advance calls since the last Reset: the exact expiry boundary
+	// the enumeration applies per path at the leaf.
+	curCut event.Time
+
+	// scratch is the enumeration binding: positive slots are written
+	// as the walk descends, then copied into an arena region on emit.
+	scratch []*event.Event
+	// emitEnd is the completing event's End during an enumeration.
+	emitEnd event.Time
+
+	statsVal    PatternStats
+	predEntries int
 }
 
 // pendingMatch is a completed match waiting out a trailing
-// negation's deadline. Both kernels share the representation (and
-// its arena pool).
+// negation's deadline.
 type pendingMatch struct {
 	m        *Match
 	lastEnd  event.Time
@@ -146,11 +146,28 @@ func NewPattern(spec PatternSpec) (*Pattern, error) {
 // plan and shares it across all partition instances; the program is
 // immutable after compilation, so sharing is safe across workers.
 func NewPatternFromProgram(prog *Program) *Pattern {
-	p := &Pattern{prog: prog}
-	if prog.Spec.LegacyKernel {
-		p.k = newLegacyKernel(prog)
-	} else {
-		p.k = newAutoKernel(prog)
+	spec := &prog.Spec
+	arena := newKernelArena(spec.NumSlots)
+	p := &Pattern{
+		prog:       prog,
+		arena:      arena,
+		nt:         newNegTracker(spec, arena),
+		scratch:    make([]*event.Event, spec.NumSlots),
+		pendSorted: true,
+		curCut:     minTime,
+	}
+	if n := len(spec.Steps); n > 1 {
+		p.states = make([]*runState, n-1)
+		for s := range p.states {
+			st := &runState{endSorted: true, lastEnd: minTime}
+			if prog.trans[s+1].keyed {
+				st.keyed = true
+				st.buckets = map[event.Value]*runBucket{}
+			} else {
+				st.all = arena.getRunBucket()
+			}
+			p.states[s] = st
+		}
 	}
 	return p
 }
@@ -159,7 +176,11 @@ func NewPatternFromProgram(prog *Program) *Pattern {
 func (p *Pattern) Program() *Program { return p.prog }
 
 // Stats returns a copy of the operator counters.
-func (p *Pattern) Stats() PatternStats { return p.k.stats() }
+func (p *Pattern) Stats() PatternStats {
+	s := p.statsVal
+	s.NegChecks = p.nt.checks
+	return s
+}
 
 // Reset discards all partial state, negation buffers and pending
 // emissions. The runtime calls it when the query's original context
@@ -167,25 +188,62 @@ func (p *Pattern) Stats() PatternStats { return p.k.stats() }
 // discarded records return to the arena, so context-window
 // close/reopen cycles reuse the same memory instead of churning the
 // allocator.
-func (p *Pattern) Reset() { p.k.reset() }
+func (p *Pattern) Reset() {
+	for _, st := range p.states {
+		if st.keyed {
+			for _, b := range st.buckets {
+				p.resetBucket(b)
+			}
+			st.empties = len(st.buckets)
+		} else {
+			p.resetBucket(st.all)
+		}
+		st.nodes = 0
+		st.endSorted = true
+		st.lastEnd = minTime
+	}
+	p.nt.reset()
+	for _, pm := range p.pending {
+		p.arena.putMatch(pm.m)
+		p.arena.putPending(pm)
+	}
+	p.pending = p.pending[:0]
+	p.pendSorted = true
+	p.curCut = minTime
+}
 
 // Release returns emitted matches to the operator's arena for reuse.
 // The caller that drained Advance/Process output calls it once it has
 // projected the matches into derived events; the matches and their
 // bindings must not be read afterwards. Callers that retain matches
 // (tests, ad-hoc drivers) simply never call it — the arena then grows
-// like the pre-arena kernel allocated.
-func (p *Pattern) Release(ms []*Match) { p.k.release(ms) }
+// like a heap-allocating operator would.
+func (p *Pattern) Release(ms []*Match) {
+	for _, m := range ms {
+		p.arena.putMatch(m)
+	}
+}
 
 // ArenaChunks reports how many slabs the operator's arena has
 // allocated over its lifetime — the telemetry layer's occupancy
 // signal (a warmed steady state allocates none).
-func (p *Pattern) ArenaChunks() int { return p.k.arenaChunks() }
+func (p *Pattern) ArenaChunks() int { return p.arena.chunks }
 
 // MemoryFootprint returns the operator's retained state counts; the
 // garbage collector, the per-query telemetry gauges and tests
 // observe it.
-func (p *Pattern) MemoryFootprint() Footprint { return p.k.footprint() }
+func (p *Pattern) MemoryFootprint() Footprint {
+	nodes := 0
+	for _, st := range p.states {
+		nodes += st.nodes
+	}
+	return Footprint{
+		NegBuffered: p.nt.buffered(),
+		Pending:     len(p.pending),
+		RunNodes:    nodes,
+		PredEntries: p.predEntries,
+	}
+}
 
 // Advance moves the operator's clock to now: it expires partial
 // state older than the horizon, prunes negation buffers, and flushes
@@ -193,7 +251,34 @@ func (p *Pattern) MemoryFootprint() Footprint { return p.k.footprint() }
 // appending them to out. Call once per stream transaction, before
 // Process.
 func (p *Pattern) Advance(now event.Time, out []*Match) []*Match {
-	return p.k.advance(now, out)
+	if cut := now - event.Time(p.prog.Spec.Horizon); cut > p.curCut {
+		p.curCut = cut
+	}
+	for _, st := range p.states {
+		p.trimState(st, p.curCut)
+	}
+	p.nt.expire(now - 2*event.Time(p.prog.Spec.Horizon))
+	if len(p.pending) > 0 {
+		kept := p.pending[:0]
+		for _, pm := range p.pending {
+			switch {
+			case pm.killed:
+				p.arena.putMatch(pm.m)
+				p.arena.putPending(pm)
+			case pm.deadline < now:
+				out = append(out, pm.m)
+				p.statsVal.MatchesEmitted++
+				p.arena.putPending(pm)
+			default:
+				kept = append(kept, pm)
+			}
+		}
+		p.pending = kept
+		if len(kept) == 0 {
+			p.pendSorted = true
+		}
+	}
+	return out
 }
 
 // Process consumes one batch of events (all with the same occurrence
@@ -201,7 +286,10 @@ func (p *Pattern) Advance(now event.Time, out []*Match) []*Match {
 // matches to out. Events whose type matches no step or negation are
 // ignored.
 func (p *Pattern) Process(batch []*event.Event, out []*Match) []*Match {
-	return p.k.process(batch, out)
+	for _, e := range batch {
+		out = p.processEvent(e, out)
+	}
+	return out
 }
 
 func maxI64(a, b int64) int64 {

@@ -80,13 +80,11 @@ func benchPattern(b *testing.B, s *benchStream, p *Pattern) {
 // twoStepJoinStream is the join-heavy SEQ(A a, B b) WHERE a.k = b.k
 // workload: 1024 A/B pairs over a 16-value key space under a horizon
 // that keeps hundreds of As live, so every B faces a wide join
-// frontier. The legacy kernel scans every live partial per B; the
-// automaton kernel probes one hash bucket and walks only the
+// frontier. The automaton probes one hash bucket and walks only the
 // key-matching predecessors.
-func twoStepJoinStream(b *testing.B, legacy bool) (*benchStream, *Pattern) {
+func twoStepJoinStream(b *testing.B) (*benchStream, *Pattern) {
 	b.Helper()
 	spec, m := compileQuerySpec(b, patternModels, 1, 1000)
-	spec.LegacyKernel = legacy
 	sa, _ := m.Registry.Lookup("A")
 	sb, _ := m.Registry.Lookup("B")
 	evs := make([]*event.Event, 0, 2048)
@@ -105,15 +103,7 @@ func twoStepJoinStream(b *testing.B, legacy bool) (*benchStream, *Pattern) {
 // BenchmarkPatternTwoStepJoin measures the shared-run automaton on the
 // join-heavy two-step workload in steady state.
 func BenchmarkPatternTwoStepJoin(b *testing.B) {
-	s, p := twoStepJoinStream(b, false)
-	benchPattern(b, s, p)
-}
-
-// BenchmarkPatternTwoStepJoinLegacy runs the identical workload on the
-// preserved per-combination kernel — the ablation baseline for the
-// automaton's join speedup.
-func BenchmarkPatternTwoStepJoinLegacy(b *testing.B) {
-	s, p := twoStepJoinStream(b, true)
+	s, p := twoStepJoinStream(b)
 	benchPattern(b, s, p)
 }
 

@@ -29,27 +29,6 @@ const (
 	predRange = 2 // contiguous range of a predecessor bucket
 )
 
-// Save serializes the pattern operator's kernel state. Events are
-// interned in tab; the caller encodes the table itself (wire docs).
-func (p *Pattern) Save(enc *wire.Enc, tab *wire.EventTable) error {
-	return p.k.save(enc, tab)
-}
-
-// Load restores kernel state saved by Save into this operator, which
-// must run the identical compiled program. Existing state is
-// discarded first.
-func (p *Pattern) Load(d *wire.Dec, evs *wire.RestoredEvents) error {
-	return p.k.load(d, evs)
-}
-
-func (k *legacyKernel) save(*wire.Enc, *wire.EventTable) error {
-	return fmt.Errorf("algebra: the legacy pattern kernel does not support snapshots")
-}
-
-func (k *legacyKernel) load(*wire.Dec, *wire.RestoredEvents) error {
-	return fmt.Errorf("algebra: the legacy pattern kernel does not support snapshots")
-}
-
 // valueLess is the deterministic bucket-key order used on the wire:
 // by kind, then by payload.
 func valueLess(a, b event.Value) bool {
@@ -68,7 +47,9 @@ func valueLess(a, b event.Value) bool {
 	}
 }
 
-func (k *autoKernel) save(enc *wire.Enc, tab *wire.EventTable) error {
+// Save serializes the pattern operator's kernel state. Events are
+// interned in tab; the caller encodes the table itself (wire docs).
+func (p *Pattern) Save(enc *wire.Enc, tab *wire.EventTable) error {
 	nodeID := make(map[*runNode]uint64)
 	bucketID := make(map[*runBucket]uint64)
 
@@ -87,8 +68,8 @@ func (k *autoKernel) save(enc *wire.Enc, tab *wire.EventTable) error {
 				// Keep only predecessors that are still live; a list
 				// that empties becomes an inert range.
 				liveRefs := 0
-				for _, p := range nd.preds {
-					if p.n.gen == p.gen {
+				for _, pr := range nd.preds {
+					if pr.n.gen == pr.gen {
 						liveRefs++
 					}
 				}
@@ -99,11 +80,11 @@ func (k *autoKernel) save(enc *wire.Enc, tab *wire.EventTable) error {
 				}
 				enc.Byte(predList)
 				enc.Uvarint(uint64(liveRefs))
-				for _, p := range nd.preds {
-					if p.n.gen != p.gen {
+				for _, pr := range nd.preds {
+					if pr.n.gen != pr.gen {
 						continue
 					}
-					id, ok := nodeID[p.n]
+					id, ok := nodeID[pr.n]
 					if !ok {
 						// A live predecessor must have been encoded with
 						// its own (earlier) state.
@@ -145,8 +126,8 @@ func (k *autoKernel) save(enc *wire.Enc, tab *wire.EventTable) error {
 		}
 	}
 
-	enc.Uvarint(uint64(len(k.states)))
-	for _, st := range k.states {
+	enc.Uvarint(uint64(len(p.states)))
+	for _, st := range p.states {
 		enc.Bool(st.endSorted)
 		enc.Time(st.lastEnd)
 		if !st.keyed {
@@ -169,9 +150,9 @@ func (k *autoKernel) save(enc *wire.Enc, tab *wire.EventTable) error {
 		}
 	}
 
-	enc.Bool(k.pendSorted)
-	enc.Uvarint(uint64(len(k.pending)))
-	for _, pm := range k.pending {
+	enc.Bool(p.pendSorted)
+	enc.Uvarint(uint64(len(p.pending)))
+	for _, pm := range p.pending {
 		enc.Bool(pm.killed)
 		enc.Time(pm.lastEnd)
 		enc.Time(pm.deadline)
@@ -184,20 +165,23 @@ func (k *autoKernel) save(enc *wire.Enc, tab *wire.EventTable) error {
 		}
 	}
 
-	enc.Time(k.curCut)
-	enc.U64(k.statsVal.EventsSeen)
-	enc.U64(k.statsVal.PartialsCreated)
-	enc.U64(k.statsVal.PartialsExpired)
-	enc.U64(k.statsVal.MatchesEmitted)
-	enc.U64(k.statsVal.MatchesNegated)
-	enc.U64(k.statsVal.FilteredOut)
+	enc.Time(p.curCut)
+	enc.U64(p.statsVal.EventsSeen)
+	enc.U64(p.statsVal.PartialsCreated)
+	enc.U64(p.statsVal.PartialsExpired)
+	enc.U64(p.statsVal.MatchesEmitted)
+	enc.U64(p.statsVal.MatchesNegated)
+	enc.U64(p.statsVal.FilteredOut)
 
-	k.nt.save(enc, tab)
+	p.nt.save(enc, tab)
 	return nil
 }
 
-func (k *autoKernel) load(d *wire.Dec, evs *wire.RestoredEvents) error {
-	k.reset()
+// Load restores kernel state saved by Save into this operator, which
+// must run the identical compiled program. Existing state is
+// discarded first.
+func (p *Pattern) Load(d *wire.Dec, evs *wire.RestoredEvents) error {
+	p.Reset()
 	var nodes []*runNode
 	var buckets []*runBucket
 	// dead anchors inert range predecessors: its generation never
@@ -215,7 +199,7 @@ func (k *autoKernel) load(d *wire.Dec, evs *wire.RestoredEvents) error {
 			return fmt.Errorf("algebra: snapshot: node count %d exceeds payload", n)
 		}
 		for i := uint64(0); i < n; i++ {
-			nd := k.arena.getNode()
+			nd := p.arena.getNode()
 			nd.ev = evs.Lookup(d, d.Uvarint())
 			nd.maxFS = d.Time()
 			switch form := d.Byte(); form {
@@ -228,7 +212,7 @@ func (k *autoKernel) load(d *wire.Dec, evs *wire.RestoredEvents) error {
 				if cnt > uint64(d.Rem()) {
 					return fmt.Errorf("algebra: snapshot: pred list %d exceeds payload", cnt)
 				}
-				preds := k.arena.getPredList()
+				preds := p.arena.getPredList()
 				for j := uint64(0); j < cnt; j++ {
 					id := d.Uvarint()
 					if id == 0 || id > uint64(len(nodes)) {
@@ -240,13 +224,13 @@ func (k *autoKernel) load(d *wire.Dec, evs *wire.RestoredEvents) error {
 				if len(preds) == 0 {
 					// cnt==0 never happens on save (encoded as a dead
 					// range), but stay robust: inert range.
-					k.arena.putPredList(preds)
+					p.arena.putPredList(preds)
 					nd.pb = dead
 					nd.pbGen = 0
-					k.predEntries++
+					p.predEntries++
 				} else {
 					nd.preds = preds
-					k.predEntries += len(preds)
+					p.predEntries += len(preds)
 				}
 			case predRange:
 				id := d.Uvarint()
@@ -263,7 +247,7 @@ func (k *autoKernel) load(d *wire.Dec, evs *wire.RestoredEvents) error {
 					nd.predLo = d.Varint()
 					nd.predHi = d.Varint()
 				}
-				k.predEntries++
+				p.predEntries++
 			default:
 				return fmt.Errorf("algebra: snapshot: bad predecessor form %d", form)
 			}
@@ -280,13 +264,13 @@ func (k *autoKernel) load(d *wire.Dec, evs *wire.RestoredEvents) error {
 		return nil
 	}
 
-	if n := d.Uvarint(); n != uint64(len(k.states)) {
+	if n := d.Uvarint(); n != uint64(len(p.states)) {
 		if d.Err() != nil {
 			return d.Err()
 		}
-		return fmt.Errorf("algebra: snapshot: %d states on the wire, program has %d", n, len(k.states))
+		return fmt.Errorf("algebra: snapshot: %d states on the wire, program has %d", n, len(p.states))
 	}
-	for _, st := range k.states {
+	for _, st := range p.states {
 		st.endSorted = d.Bool()
 		st.lastEnd = d.Time()
 		keyed := d.Bool()
@@ -311,7 +295,7 @@ func (k *autoKernel) load(d *wire.Dec, evs *wire.RestoredEvents) error {
 		}
 		for i := uint64(0); i < nb; i++ {
 			key := d.Value()
-			b := k.arena.getRunBucket()
+			b := p.arena.getRunBucket()
 			st.buckets[key] = b
 			if err := loadBucket(st, b); err != nil {
 				return err
@@ -319,7 +303,7 @@ func (k *autoKernel) load(d *wire.Dec, evs *wire.RestoredEvents) error {
 		}
 	}
 
-	k.pendSorted = d.Bool()
+	p.pendSorted = d.Bool()
 	np := d.Uvarint()
 	if d.Err() != nil {
 		return d.Err()
@@ -328,46 +312,46 @@ func (k *autoKernel) load(d *wire.Dec, evs *wire.RestoredEvents) error {
 		return fmt.Errorf("algebra: snapshot: pending count %d exceeds payload", np)
 	}
 	for i := uint64(0); i < np; i++ {
-		pm := k.arena.getPending()
+		pm := p.arena.getPending()
 		pm.killed = d.Bool()
 		pm.lastEnd = d.Time()
 		pm.deadline = d.Time()
-		m := k.arena.getMatch()
+		m := p.arena.getMatch()
 		m.Time.Start = d.Time()
 		m.Time.End = d.Time()
 		m.Arrival = d.Varint()
 		nb := d.Uvarint()
 		if d.Err() != nil {
-			k.arena.putMatch(m)
-			k.arena.putPending(pm)
+			p.arena.putMatch(m)
+			p.arena.putPending(pm)
 			return d.Err()
 		}
-		if int(nb) != k.prog.Spec.NumSlots {
-			k.arena.putMatch(m)
-			k.arena.putPending(pm)
-			return fmt.Errorf("algebra: snapshot: binding width %d, program has %d slots", nb, k.prog.Spec.NumSlots)
+		if int(nb) != p.prog.Spec.NumSlots {
+			p.arena.putMatch(m)
+			p.arena.putPending(pm)
+			return fmt.Errorf("algebra: snapshot: binding width %d, program has %d slots", nb, p.prog.Spec.NumSlots)
 		}
-		binding := k.arena.getBinding()
+		binding := p.arena.getBinding()
 		for j := range binding {
 			binding[j] = evs.Lookup(d, d.Uvarint())
 		}
 		m.Binding = binding
 		pm.m = m
-		k.pending = append(k.pending, pm)
+		p.pending = append(p.pending, pm)
 	}
 
-	k.curCut = d.Time()
-	k.statsVal.EventsSeen = d.U64()
-	k.statsVal.PartialsCreated = d.U64()
-	k.statsVal.PartialsExpired = d.U64()
-	k.statsVal.MatchesEmitted = d.U64()
-	k.statsVal.MatchesNegated = d.U64()
-	k.statsVal.FilteredOut = d.U64()
+	p.curCut = d.Time()
+	p.statsVal.EventsSeen = d.U64()
+	p.statsVal.PartialsCreated = d.U64()
+	p.statsVal.PartialsExpired = d.U64()
+	p.statsVal.MatchesEmitted = d.U64()
+	p.statsVal.MatchesNegated = d.U64()
+	p.statsVal.FilteredOut = d.U64()
 	if d.Err() != nil {
 		return d.Err()
 	}
 
-	return k.nt.load(d, evs)
+	return p.nt.load(d, evs)
 }
 
 // save writes the live portion of every negation buffer. The hash

@@ -184,22 +184,6 @@ func TestPatternSnapshotRejectsCorrupt(t *testing.T) {
 	}
 }
 
-func TestLegacyKernelSnapshotUnsupported(t *testing.T) {
-	spec, _ := compileQuerySpec(t, patternModels, 0, 100)
-	spec.LegacyKernel = true
-	p, err := NewPattern(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var enc wire.Enc
-	if err := p.Save(&enc, wire.NewEventTable()); err == nil {
-		t.Fatal("legacy kernel Save must report unsupported")
-	}
-	if err := p.Load(wire.NewDec(nil), nil); err == nil {
-		t.Fatal("legacy kernel Load must report unsupported")
-	}
-}
-
 // aggTwin builds a second Aggregate over the SAME compiled model, so
 // schema pointers (and hence event.Equal) line up across operators.
 func aggTwin(t *testing.T, m *model.Model) *Aggregate {

@@ -50,8 +50,7 @@ type Config struct {
 	// Shards selects the sharded multi-core runtime: N engine shards
 	// each own a disjoint set of stream partitions end to end and
 	// execute on their own goroutine, fed through lock-free SPSC
-	// rings (see runtime.Config.Shards). 0 defaults to GOMAXPROCS
-	// unless Workers is set explicitly; 1 selects the classic
+	// rings (see runtime.Config.Shards). 0 and 1 select the classic
 	// distributor + worker-pool pipeline.
 	Shards int
 	// Pacing > 0 replays the stream in scaled real time: one
@@ -60,29 +59,19 @@ type Config struct {
 	// ReadAhead bounds the ingest read-ahead ring (decoded batches the
 	// decode goroutine may run ahead of dispatch); 0 means 4.
 	ReadAhead int
-	// DisablePipeline forces the legacy synchronous per-event ingest
-	// loop instead of the pipelined batch path.
-	DisablePipeline bool
 	// DefaultHorizon overrides the default pattern matching horizon
 	// (see plan.DefaultHorizon).
 	DefaultHorizon int64
-	// LegacyPatternKernel runs patterns on the preserved
-	// per-combination kernel instead of the shared-run automaton
-	// (differential testing and ablation benchmarks).
-	LegacyPatternKernel bool
 	// CollectOutputs retains derived events in Stats.Outputs.
 	CollectOutputs bool
-	// DisableDerivedArena constructs derived events on the GC heap
-	// instead of the per-execution-unit slab arena (see
-	// runtime.Config.DisableDerivedArena for the retention contract of
-	// OnOutput events under the arena).
-	DisableDerivedArena bool
 	// DerivedChunkEvents sizes the derived-event arena's slabs, in
 	// events; 0 picks the default.
 	DerivedChunkEvents int
 	// OnOutput receives every derived event; called concurrently
-	// from worker goroutines. A consumer that buffers should flush in
-	// OnIdle, or results wait for later output to push them out.
+	// from worker goroutines. Events are arena-backed: see
+	// runtime.Config.OnOutput for how long they stay valid. A consumer
+	// that buffers should flush in OnIdle, or results wait for later
+	// output to push them out.
 	OnOutput func(*event.Event)
 	// OnIdle is called when a goroutine delivering OnOutput has
 	// nothing left to deliver and is about to wait for more (see
@@ -133,16 +122,9 @@ func (c Config) Summary() map[string]string {
 		"workers":      strconv.Itoa(c.Workers),
 		"shards":       strconv.Itoa(c.Shards),
 		"read_ahead":   strconv.Itoa(c.ReadAhead),
-		"pipeline":     strconv.FormatBool(!c.DisablePipeline),
 	}
 	if c.Pacing > 0 {
 		s["pacing"] = c.Pacing.String()
-	}
-	if c.LegacyPatternKernel {
-		s["legacy_kernel"] = "true"
-	}
-	if c.DisableDerivedArena {
-		s["derived_arena"] = "false"
 	}
 	if c.Stages != nil {
 		s["trace_sample_rate"] = strconv.Itoa(c.Stages.SampleRate())
@@ -180,33 +162,29 @@ func NewEngine(m *model.Model, cfg Config) (*Engine, error) {
 		opts = plan.NonOptimized()
 	}
 	opts.DefaultHorizon = cfg.DefaultHorizon
-	opts.LegacyKernel = cfg.LegacyPatternKernel
 
 	p, err := plan.Build(m, opts)
 	if err != nil {
 		return nil, err
 	}
 	rt, err := runtime.New(runtime.Config{
-		Plan:            p,
-		Mode:            mode,
-		Sharing:         cfg.Sharing,
-		Fusion:          cfg.FusePatterns,
-		PartitionBy:     cfg.PartitionBy,
-		Workers:         cfg.Workers,
-		Shards:          cfg.Shards,
-		Pacing:          cfg.Pacing,
-		ReadAhead:       cfg.ReadAhead,
-		DisablePipeline: cfg.DisablePipeline,
-		CollectOutputs:  cfg.CollectOutputs,
-		OnOutput:        cfg.OnOutput,
-		OnIdle:          cfg.OnIdle,
-		Telemetry:       cfg.Telemetry,
-		Tracer:          cfg.Tracer,
-		Stages:          cfg.Stages,
-		Health:          cfg.Health,
-
-		DisableDerivedArena: cfg.DisableDerivedArena,
-		DerivedChunkEvents:  cfg.DerivedChunkEvents,
+		Plan:               p,
+		Mode:               mode,
+		Sharing:            cfg.Sharing,
+		Fusion:             cfg.FusePatterns,
+		PartitionBy:        cfg.PartitionBy,
+		Workers:            cfg.Workers,
+		Shards:             cfg.Shards,
+		Pacing:             cfg.Pacing,
+		ReadAhead:          cfg.ReadAhead,
+		CollectOutputs:     cfg.CollectOutputs,
+		DerivedChunkEvents: cfg.DerivedChunkEvents,
+		OnOutput:           cfg.OnOutput,
+		OnIdle:             cfg.OnIdle,
+		Telemetry:          cfg.Telemetry,
+		Tracer:             cfg.Tracer,
+		Stages:             cfg.Stages,
+		Health:             cfg.Health,
 
 		DurableDir:      cfg.DurableDir,
 		CheckpointEvery: cfg.CheckpointEvery,

@@ -3,9 +3,9 @@ package event
 // Allocator hands out Event records for derived-event construction
 // (DESIGN.md §3.8). The output path — projection, aggregation flush —
 // builds one Event plus one Values region per derived event; routing
-// that construction through an allocator lets the runtime substitute
-// a per-worker slab arena for the GC heap without the operators
-// knowing which they got.
+// that construction through an allocator lets the runtime hand the
+// operators a per-worker slab arena while unit tests use the GC heap,
+// without the operators knowing which they got.
 //
 // Contract: Alloc returns an Event with Schema, Time and a Values
 // slice of exactly nvals slots set; Arrival is zero. The slots are
@@ -19,9 +19,9 @@ type Allocator interface {
 }
 
 // HeapAlloc is the GC-backed Allocator: every event is a fresh heap
-// record, exempt from any reclamation. It is the ablation path behind
-// Config.DisableDerivedArena and the default for operators executed
-// outside an engine run (unit tests, ad-hoc evaluation).
+// record, exempt from any reclamation. Operators executed outside an
+// engine run (unit tests, ad-hoc evaluation) use it; engine runs always
+// derive into per-worker slab arenas.
 type HeapAlloc struct{}
 
 // Alloc returns a fresh heap event with zeroed Values.

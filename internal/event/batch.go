@@ -104,8 +104,7 @@ func (b *Batcher) Err() error {
 }
 
 // perEvent adapts a BatchSource back to a per-event Source, for
-// callers that want the legacy protocol (differential tests, the
-// -no-pipeline escape hatch).
+// callers that want the per-event protocol (differential tests).
 type perEvent struct {
 	bs   BatchSource
 	b    Batch

@@ -43,10 +43,6 @@ type Options struct {
 	// DisableNegIndex turns off the negation-buffer hash index (an
 	// ablation knob; see the negation-index benchmarks).
 	DisableNegIndex bool
-	// LegacyKernel runs patterns on the preserved per-combination
-	// kernel instead of the shared-run automaton (differential
-	// testing and ablation benchmarks).
-	LegacyKernel bool
 }
 
 // Optimized returns the options of the fully optimized plan shape.
@@ -125,7 +121,6 @@ func patternSpec(qp *QueryPlan) algebra.PatternSpec {
 		NumSlots:        q.Env.Len(),
 		Horizon:         qp.Horizon,
 		DisableNegIndex: qp.Opts.DisableNegIndex,
-		LegacyKernel:    qp.Opts.LegacyKernel,
 	}
 	if qp.Opts.EagerFilters {
 		spec.Filters = q.Filters

@@ -4,7 +4,8 @@
 // referenced by downstream pattern state until the horizon passes.
 // With DerivedChunkEvents shrunk to 8 the arena recycles slabs many
 // times mid-run, which makes any premature reclamation visible as a
-// corrupted or missing C output against the heap-allocated baseline.
+// corrupted or missing C output against a run whose slabs never
+// recycle.
 package runtime
 
 import (
@@ -73,9 +74,10 @@ func chainStream(t testing.TB, m *model.Model, ticks int) *event.SliceSource {
 // TestDerivedChainSurvivesReclamation is the arena lifetime proof: a
 // chained derived event must stay valid until the watermark releases
 // its tick, even while the tiny slabs recycle continuously. The
-// arena run must produce byte-identical outputs to the heap run (where
-// the GC guarantees liveness), and the arena must actually have
-// reclaimed slabs mid-run — otherwise the test proved nothing.
+// small-slab run must produce byte-identical outputs to a reference
+// run whose one slab outsizes the whole derived output, so nothing
+// ever seals or recycles there, and the small-slab arena must actually
+// have reclaimed slabs mid-run — otherwise the test proved nothing.
 func TestDerivedChainSurvivesReclamation(t *testing.T) {
 	const ticks = 120
 	cases := []struct {
@@ -97,21 +99,24 @@ func TestDerivedChainSurvivesReclamation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			heap, mh := chainEngine(t, func(c *Config) {
+			whole, mw := chainEngine(t, func(c *Config) {
 				tc.mutate(c)
-				c.DisableDerivedArena = true
+				c.DerivedChunkEvents = 1 << 16
 			})
-			stH, err := heap.Run(chainStream(t, mh, ticks))
+			stW, err := whole.Run(chainStream(t, mw, ticks))
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, h := sortedRenderings(stA), sortedRenderings(stH)
-			if len(a) != len(h) {
-				t.Fatalf("arena %d outputs, heap %d", len(a), len(h))
+			if n := tc.reclaimed(whole); n != 0 {
+				t.Fatalf("reference run reclaimed %d slabs; its slab must outsize the run", n)
+			}
+			a, w := sortedRenderings(stA), sortedRenderings(stW)
+			if len(a) != len(w) {
+				t.Fatalf("small slabs %d outputs, one slab %d", len(a), len(w))
 			}
 			for i := range a {
-				if a[i] != h[i] {
-					t.Fatalf("output %d differs:\narena: %s\nheap:  %s", i, a[i], h[i])
+				if a[i] != w[i] {
+					t.Fatalf("output %d differs:\nsmall slabs: %s\none slab:    %s", i, a[i], w[i])
 				}
 			}
 			// ~8 C per B per key: a healthy run derives far more events
@@ -143,7 +148,6 @@ func TestRunReuseIdenticalOutputs(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"sync", func(c *Config) { c.DisablePipeline = true }},
 		{"workers=2", func(c *Config) { c.Workers = 2 }},
 		{"shards=2", func(c *Config) { c.Shards = 2 }},
 	}

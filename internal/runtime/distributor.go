@@ -183,12 +183,10 @@ type distributor struct {
 
 	// stages samples tick timelines (nil = no stage clocks at all);
 	// decodeNs/queueNs carry the current batch's decode and queue-wait
-	// stamps, and pipeline marks the batched ingest path (the only one
-	// with those stages). All dispatch-goroutine-owned.
+	// stamps. All dispatch-goroutine-owned.
 	stages   *telemetry.StageTracer
 	decodeNs int64
 	queueNs  int64
-	pipeline bool
 }
 
 func newDistributor(workers []*worker, partBy []string) *distributor {
@@ -278,10 +276,8 @@ func (d *distributor) dispatch(ts event.Time, evs []*event.Event, arrival int64)
 			var sp *telemetry.Span
 			if sampled {
 				sp = d.stages.Start(int64(ts), i)
-				if d.pipeline {
-					sp.Stamp(telemetry.StageDecode, d.decodeNs)
-					sp.Stamp(telemetry.StageQueue, d.queueNs)
-				}
+				sp.Stamp(telemetry.StageDecode, d.decodeNs)
+				sp.Stamp(telemetry.StageQueue, d.queueNs)
 				sp.Stamp(telemetry.StageRoute, now-arrival)
 				sp.MarkAt(now)
 			}

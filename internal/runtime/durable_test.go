@@ -11,6 +11,7 @@ import (
 
 	"github.com/caesar-cep/caesar/internal/durability"
 	"github.com/caesar-cep/caesar/internal/event"
+	"github.com/caesar-cep/caesar/internal/linearroad"
 	"github.com/caesar-cep/caesar/internal/model"
 	"github.com/caesar-cep/caesar/internal/plan"
 )
@@ -255,9 +256,8 @@ func TestCorruptSnapshotFallbackRecovery(t *testing.T) {
 	}
 }
 
-// TestDurableConfigValidation: durability composes only with the
-// pipelined ingest path and the shared-run kernel, and the same knobs
-// stay inert with durability off.
+// TestDurableConfigValidation: a negative checkpoint interval is
+// rejected with durability on and stays inert with it off.
 func TestDurableConfigValidation(t *testing.T) {
 	m, err := model.CompileSource(trafficSrc)
 	if err != nil {
@@ -267,25 +267,39 @@ func TestDurableConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := plan.Build(m, plan.Options{PushDown: true, EagerFilters: true, LegacyKernel: true})
+	if _, err := New(Config{Plan: p, Workers: 1, DurableDir: t.TempDir(), CheckpointEvery: -1}); err == nil {
+		t.Error("negative checkpoint interval accepted")
+	}
+	if _, err := New(Config{Plan: p, Workers: 1, CheckpointEvery: 8}); err != nil {
+		t.Errorf("checkpoint interval without a durable dir rejected: %v", err)
+	}
+}
+
+// TestTollDurabilityFingerprint pins the snapshot-compatibility string
+// of the toll engine as the CLI builds it. A snapshot restores only
+// into an engine with the identical fingerprint, so any change here
+// orphans every snapshot directory written before it: the string may
+// change only together with a deliberate snapshot-format change.
+func TestTollDurabilityFingerprint(t *testing.T) {
+	const want = "caesar-snap-v1|mode=context-aware|sharing=false|fusion=false|partition=xway,dir,seg" +
+		"|opts=true,true,0,false,false|g|q0(DERIVE SegStat):7:300|q1(SWITCH CONTEXT congestion):2:300" +
+		"|q2(SWITCH CONTEXT clear):4:300|q3(DERIVE StoppedCar):6:35|q4(INITIATE CONTEXT accident):6:300" +
+		"|q5(TERMINATE CONTEXT accident):1:300|q6(DERIVE TollNotification):3:90" +
+		"|q7(DERIVE TollNotification):4:90|q8(DERIVE AccidentWarning):1:300"
+	m, err := model.CompileSource(linearroad.ModelSource(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if _, err := New(Config{Plan: p, Workers: 1, DurableDir: dir, DisablePipeline: true}); err == nil {
-		t.Error("durability accepted with the pipeline disabled")
+	p, err := plan.Build(m, plan.Optimized())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Config{Plan: legacy, Workers: 1, DurableDir: dir}); err == nil {
-		t.Error("durability accepted with the legacy kernel")
+	eng, err := New(Config{Plan: p, PartitionBy: linearroad.PartitionBy(), Shards: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Config{Plan: p, Workers: 1, DurableDir: dir, CheckpointEvery: -1}); err == nil {
-		t.Error("negative checkpoint interval accepted")
-	}
-	if _, err := New(Config{Plan: legacy, Workers: 1}); err != nil {
-		t.Errorf("legacy kernel without durability rejected: %v", err)
-	}
-	if _, err := New(Config{Plan: p, Workers: 1, DisablePipeline: true, CheckpointEvery: 8}); err != nil {
-		t.Errorf("checkpoint interval without a durable dir rejected: %v", err)
+	if got := eng.durabilityFingerprint(); got != want {
+		t.Errorf("durability fingerprint changed:\n got: %s\nwant: %s", got, want)
 	}
 }
 

@@ -26,7 +26,6 @@ package runtime
 
 import (
 	"fmt"
-	gort "runtime"
 	"sort"
 	"time"
 
@@ -83,11 +82,9 @@ type Config struct {
 	// Shards selects the sharded multi-core runtime (DESIGN.md §3.6):
 	// N independent engine shards, each owning a disjoint set of
 	// stream partitions end to end, fed through lock-free SPSC rings.
-	// Shards == 1 preserves the legacy pipeline (distributor + worker
-	// pool) byte-for-byte. Shards == 0 defaults to GOMAXPROCS when
-	// Workers is also unset; an explicitly configured Workers keeps
-	// the legacy pool for compatibility. Requires the pipelined
-	// ingest path (incompatible with DisablePipeline) when > 1.
+	// Shards 0 and 1 run the legacy pipeline (distributor + worker
+	// pool). The engine never sizes itself from GOMAXPROCS; callers
+	// that want one shard per core resolve that themselves.
 	Shards int
 	// Pacing, when positive, replays the stream in real time: one
 	// application time unit lasts Pacing of wall time. Zero feeds the
@@ -98,23 +95,11 @@ type Config struct {
 	// batches the decode goroutine may run ahead of dispatch. 0 means
 	// 4 (DESIGN.md §3.4).
 	ReadAhead int
-	// DisablePipeline forces the legacy synchronous ingest loop:
-	// decode, pace and dispatch one event at a time on one goroutine.
-	// The pipelined path is differentially tested against it.
-	DisablePipeline bool
 	// CollectOutputs retains all derived events in Stats.Outputs.
 	CollectOutputs bool
-	// DisableDerivedArena routes derived-event construction to the GC
-	// heap instead of the per-execution-unit slab arena (DESIGN.md
-	// §3.8). The arena path is differentially tested against this one.
-	// With the arena on (the default), events handed to OnOutput are
-	// valid for the duration of the callback and until their tick falls
-	// behind the reclamation watermark; consumers that retain events
-	// beyond that must copy them (event.Clone). Stats.Outputs is always
-	// safe: collected events are cloned to the heap at emit time.
-	DisableDerivedArena bool
-	// DerivedChunkEvents sizes the derived-event arena's slabs, in
-	// events; 0 means event.DefaultChunkEvents.
+	// DerivedChunkEvents sizes the per-execution-unit derived-event
+	// slab arena (DESIGN.md §3.8), in events; 0 means
+	// event.DefaultChunkEvents.
 	DerivedChunkEvents int
 	// OnOutput, when set, is invoked for every derived output event.
 	// On the legacy pipeline it is called concurrently from worker
@@ -124,6 +109,14 @@ type Config struct {
 	// ordered merge layer, DESIGN.md §3.6). A consumer that buffers
 	// should flush in OnIdle: nothing else tells it that no output is
 	// about to follow.
+	//
+	// Derived events live in the execution unit's slab arena: an event
+	// handed to OnOutput is valid for the duration of the callback and
+	// until its tick falls behind the reclamation watermark, after
+	// which its slab is recycled. A consumer that retains events
+	// beyond that must copy them (event.Clone). Stats.Outputs is
+	// always safe: collected events are cloned to the heap at emit
+	// time.
 	OnOutput func(*event.Event)
 	// OnIdle, when set, is called by a goroutine that delivers OnOutput
 	// once it has delivered everything it holds and is about to wait for
@@ -163,8 +156,7 @@ type Config struct {
 	// alongside, and Run recovers from the latest snapshot plus the
 	// WAL tail before consuming live input. Ticks already covered by
 	// recovery are dropped from the live source, so re-feeding the
-	// full input after a restart resumes exactly-once. Requires the
-	// pipelined ingest path and the shared-run kernel.
+	// full input after a restart resumes exactly-once.
 	DurableDir string
 	// CheckpointEvery is the snapshot interval in dispatched ticks; 0
 	// means 512. Durability only.
@@ -198,9 +190,8 @@ type Stats struct {
 	EventsFed uint64
 	// HistoryResets counts context history discards (window closures).
 	HistoryResets uint64
-	// Batches counts ingest batches dispatched (0 on the synchronous
-	// path); ReclaimedChunks counts event-arena slabs recycled by
-	// watermark reclamation.
+	// Batches counts ingest batches dispatched; ReclaimedChunks counts
+	// event-arena slabs recycled by watermark reclamation.
 	Batches         uint64
 	ReclaimedChunks uint64
 	// ReplayedTicks counts WAL ticks re-dispatched during crash
@@ -296,19 +287,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("runtime: negative shard count")
 	}
-	nShards := cfg.Shards
-	if nShards == 0 {
-		if cfg.Workers != 0 {
-			// An explicitly sized worker pool keeps the legacy
-			// pipeline: existing configurations behave identically.
-			nShards = 1
-		} else {
-			nShards = gort.GOMAXPROCS(0)
-		}
-	}
-	if nShards > 1 && cfg.DisablePipeline {
-		return nil, fmt.Errorf("runtime: the sharded runtime (Shards=%d) requires the pipelined ingest path", nShards)
-	}
+	nShards := max(cfg.Shards, 1)
 	if cfg.Workers == 0 {
 		cfg.Workers = 4
 	}
@@ -318,16 +297,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Mode == ContextIndependent && (cfg.Sharing || cfg.Fusion) {
 		return nil, fmt.Errorf("runtime: workload sharing and fusion apply to context-aware mode only")
 	}
-	if cfg.DurableDir != "" {
-		if cfg.DisablePipeline {
-			return nil, fmt.Errorf("runtime: durability requires the pipelined ingest path")
-		}
-		if cfg.Plan.Opts.LegacyKernel {
-			return nil, fmt.Errorf("runtime: durability requires the shared-run kernel (the legacy kernel does not snapshot)")
-		}
-		if cfg.CheckpointEvery < 0 {
-			return nil, fmt.Errorf("runtime: negative checkpoint interval")
-		}
+	if cfg.DurableDir != "" && cfg.CheckpointEvery < 0 {
+		return nil, fmt.Errorf("runtime: negative checkpoint interval")
 	}
 	e := &Engine{cfg: cfg, m: cfg.Plan.Model, nShards: nShards}
 	var err error
@@ -464,58 +435,21 @@ func (e *Engine) Groups() (groups, instances int) {
 // engine — each call starts from fresh logical state (context
 // vectors, pattern state and progress marks are reset), while the
 // scaffolding (worker pools, partition tables, rings, arenas) is
-// retained and reused. Calls must not overlap; with the derived-event
-// arena on, outputs observed through OnOutput are valid only within
-// the watermark window (see Config.DisableDerivedArena) and
-// Stats.Outputs of a previous call remains valid across later calls.
+// retained and reused. Calls must not overlap; outputs observed
+// through OnOutput are valid only within the watermark window (see
+// Config.OnOutput), while Stats.Outputs of a previous call remains
+// valid across later calls.
 //
 // Sources implementing event.BatchSource (SliceSource, event.Reader,
-// linearroad.Stream) feed the pipelined ingest path: decode runs on
-// its own goroutine behind a bounded read-ahead ring (DESIGN.md
-// §3.4); other sources are adapted through event.NewBatcher.
-// Config.DisablePipeline selects the legacy synchronous loop.
+// linearroad.Stream) feed the pipelined ingest path directly: decode
+// runs on its own goroutine behind a bounded read-ahead ring
+// (DESIGN.md §3.4); other sources are adapted through
+// event.NewBatcher.
 func (e *Engine) Run(src event.Source) (*Stats, error) {
-	if e.cfg.DisablePipeline {
-		return e.runSync(src)
-	}
 	if bs, ok := src.(event.BatchSource); ok {
 		return e.RunBatches(bs)
 	}
 	return e.RunBatches(event.NewBatcher(src))
-}
-
-// runSync is the preserved synchronous ingest loop: decode, pace and
-// dispatch on one goroutine, one event at a time. It anchors the
-// differential tests for the pipelined path.
-func (e *Engine) runSync(src event.Source) (*Stats, error) {
-	r := e.newRun()
-	var tick []*event.Event
-	var curTS event.Time
-	var orderErr error
-	for ev := src.Next(); ev != nil; ev = src.Next() {
-		r.rm.events.Inc()
-		ts := ev.End()
-		if ts < curTS {
-			// Events must arrive in-order by time stamp (§6.2);
-			// processing a late event would corrupt context
-			// derivation, so the run aborts.
-			orderErr = fmt.Errorf("runtime: out-of-order event %v after t=%d", ev, curTS)
-			break
-		}
-		if len(tick) > 0 && ts != curTS {
-			if orderErr = r.dispatchTick(curTS, tick); orderErr != nil {
-				break
-			}
-			tick = tick[:0]
-		}
-		curTS = ts
-		tick = append(tick, ev)
-	}
-	if orderErr == nil && len(tick) > 0 {
-		orderErr = r.dispatchTick(curTS, tick)
-	}
-	r.shutdown()
-	return r.finish(src, orderErr)
 }
 
 // collect derives the run's Stats from the run's metric objects —

@@ -108,9 +108,9 @@ func (r *batchRing) release(b *event.Batch) {
 // abort unblocks both sides after a dispatch error.
 func (r *batchRing) abort() { close(r.done) }
 
-// run is one execution's mutable state, shared by the synchronous
-// and pipelined ingest paths: the metric set, the worker pool, the
-// distributor, and the dispatch-side ordering and pacing state.
+// run is one execution's mutable state on the legacy pipeline: the
+// metric set, the worker pool, the distributor, the read-ahead ring,
+// and the dispatch-side ordering and pacing state.
 type run struct {
 	e       *Engine
 	rm      *runMetrics
@@ -129,8 +129,8 @@ type run struct {
 	// dispatch goroutine, read by the decode goroutine.
 	watermark atomic.Int64
 
-	// ring is the read-ahead ring of the batch path, rearmed (not
-	// rebuilt) across cached runs.
+	// ring is the read-ahead ring, rearmed (not rebuilt) across cached
+	// runs.
 	ring *batchRing
 
 	// health backs the run's /healthz probes (runtime health.go).
@@ -144,7 +144,9 @@ type run struct {
 func (e *Engine) newRun() *run {
 	r := e.legacyRun
 	if r == nil {
-		r = &run{e: e, rm: newRunMetrics(e, e.cfg.Workers)}
+		r = &run{e: e, rm: newRunMetrics(e, e.cfg.Workers), ring: newBatchRing(e.readAhead())}
+		ring := r.ring
+		r.rm.ringDepth = func() int64 { return int64(len(ring.data)) }
 		r.workers = make([]*worker, e.cfg.Workers)
 		for i := range r.workers {
 			r.workers[i] = newWorker(e, i, r.rm)
@@ -234,10 +236,9 @@ func (r *run) dispatchTick(ts event.Time, evs []*event.Event) error {
 // run (a failed run drops the cache).
 func (r *run) reset() {
 	r.rm.reset()
-	r.rm.ringDepth = nil // the batch path re-sets it against its ring
+	r.ring.arm()
 	r.appStartSet = false
 	r.haveLast = false
-	r.dist.pipeline = false
 	for _, w := range r.workers {
 		w.resetForRun()
 	}
@@ -335,25 +336,11 @@ func startDecode(ring *batchRing, src event.BatchSource, rec event.Reclaimer, wa
 // on the sharded runtime (shard.go); otherwise on the legacy
 // distributor + worker pool.
 func (e *Engine) RunBatches(src event.BatchSource) (*Stats, error) {
-	if e.cfg.DisablePipeline {
-		return e.runSync(event.PerEvent(src))
-	}
 	if e.nShards > 1 {
 		return e.runSharded(src)
 	}
 	r := e.newRun()
-	if r.ring == nil {
-		n := e.cfg.ReadAhead
-		if n <= 0 {
-			n = defaultReadAhead
-		}
-		r.ring = newBatchRing(n)
-	} else {
-		r.ring.arm()
-	}
 	ring := r.ring
-	r.rm.ringDepth = func() int64 { return int64(len(ring.data)) }
-	r.dist.pipeline = true
 	rec, _ := src.(event.Reclaimer)
 	slack := e.reclaimSlack()
 
@@ -455,6 +442,14 @@ func (r *run) publishWatermark(slack int64) {
 	if wm := min - slack; wm > r.watermark.Load() {
 		r.watermark.Store(wm)
 	}
+}
+
+// readAhead is the resolved read-ahead ring capacity (Config.ReadAhead).
+func (e *Engine) readAhead() int {
+	if e.cfg.ReadAhead <= 0 {
+		return defaultReadAhead
+	}
+	return e.cfg.ReadAhead
 }
 
 // reclaimSlack is the retention horizon of downstream state in

@@ -64,46 +64,47 @@ func (s *arenaTickSource) NextBatch(b *event.Batch) bool {
 
 func (s *arenaTickSource) ReclaimBefore(t event.Time) int { return s.arena.ReclaimBefore(t) }
 
-func ingestEngine(t testing.TB, workers int, disablePipeline bool, readAhead int) (*Engine, *model.Model) {
+func ingestEngine(t testing.TB, workers int, readAhead int) (*Engine, *model.Model) {
 	t.Helper()
 	eng, m := buildEngine(t, trafficSrc, ContextAware, false, workers)
-	eng.cfg.DisablePipeline = disablePipeline
 	eng.cfg.ReadAhead = readAhead
 	return eng, m
 }
 
-// TestPipelinedIngestMatchesSync is the runtime-level differential:
-// the pipelined batch path (decode goroutine, read-ahead ring, slab
-// reclamation) must produce exactly the outputs of the synchronous
-// per-event path. Run under -race this also exercises the ring
-// hand-off and the watermark's cross-goroutine publication.
+// TestPipelinedIngestMatchesSync is the runtime-level reclamation
+// differential: the arena source fed directly (decode goroutine, a
+// two-batch read-ahead ring, watermark-driven slab reclamation) must
+// produce exactly the outputs of the same stream fed event by event
+// through the Batcher adapter, which hides the source's Reclaimer so
+// no slab is ever recycled. Run under -race this also exercises the
+// ring hand-off and the watermark's cross-goroutine publication.
 func TestPipelinedIngestMatchesSync(t *testing.T) {
 	const segs, ticks = 4, 400
 
-	sync, m1 := ingestEngine(t, 3, true, 0)
-	stSync, err := sync.RunBatches(newArenaTickSource(t, m1, segs, ticks))
+	ref, m1 := ingestEngine(t, 3, 0)
+	stRef, err := ref.Run(event.PerEvent(newArenaTickSource(t, m1, segs, ticks)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	piped, m2 := ingestEngine(t, 3, false, 2)
+	piped, m2 := ingestEngine(t, 3, 2)
 	stPiped, err := piped.RunBatches(newArenaTickSource(t, m2, segs, ticks))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if stSync.Events != stPiped.Events || stSync.OutputCount != stPiped.OutputCount ||
-		stSync.Transitions != stPiped.Transitions || stSync.Partitions != stPiped.Partitions {
-		t.Fatalf("stats diverge:\nsync:  %+v\npiped: %+v", stSync, stPiped)
+	if stRef.Events != stPiped.Events || stRef.OutputCount != stPiped.OutputCount ||
+		stRef.Transitions != stPiped.Transitions || stRef.Partitions != stPiped.Partitions {
+		t.Fatalf("stats diverge:\nper-event: %+v\npiped:     %+v", stRef, stPiped)
 	}
-	a, b := sortedRenderings(stSync), sortedRenderings(stPiped)
+	a, b := sortedRenderings(stRef), sortedRenderings(stPiped)
 	if len(a) == 0 {
 		t.Fatal("no outputs at all")
 	}
 	if strings.Join(a, "\n") != strings.Join(b, "\n") {
-		t.Fatalf("outputs diverge between sync and pipelined ingest")
+		t.Fatalf("outputs diverge between per-event and reclaiming batch ingest")
 	}
 
-	// The pipelined run must have recycled slabs behind the watermark
+	// The direct run must have recycled slabs behind the watermark
 	// (400 ticks span 12 000 time units against a ~600-unit slack).
 	if stPiped.Batches == 0 {
 		t.Error("pipelined run reported no batches")
@@ -111,8 +112,8 @@ func TestPipelinedIngestMatchesSync(t *testing.T) {
 	if stPiped.ReclaimedChunks == 0 {
 		t.Error("watermark never reclaimed a slab")
 	}
-	if stSync.ReclaimedChunks != 0 {
-		t.Error("sync path reclaimed slabs it should not touch")
+	if stRef.ReclaimedChunks != 0 {
+		t.Error("per-event run reclaimed slabs it should not touch")
 	}
 }
 
@@ -141,7 +142,7 @@ func (s *splitTickSource) NextBatch(b *event.Batch) bool {
 }
 
 func TestBatchSplitTickRejected(t *testing.T) {
-	eng, m := ingestEngine(t, 2, false, 0)
+	eng, m := ingestEngine(t, 2, 0)
 	src := &splitTickSource{src: newArenaTickSource(t, m, 4, 20)}
 	if _, err := eng.RunBatches(src); err == nil || !strings.Contains(err.Error(), "split tick") {
 		t.Errorf("split tick accepted: %v", err)
@@ -166,7 +167,7 @@ func (s *backwardsSource) NextBatch(b *event.Batch) bool {
 }
 
 func TestBatchOutOfOrderRejected(t *testing.T) {
-	eng, m := ingestEngine(t, 2, false, 0)
+	eng, m := ingestEngine(t, 2, 0)
 	src := &backwardsSource{src: newArenaTickSource(t, m, 4, 20)}
 	if _, err := eng.RunBatches(src); err == nil || !strings.Contains(err.Error(), "out-of-order") {
 		t.Errorf("disorder accepted: %v", err)
@@ -174,13 +175,12 @@ func TestBatchOutOfOrderRejected(t *testing.T) {
 }
 
 // TestRunRoutesBatchSources checks Engine.Run's protocol sniffing: a
-// plain Source goes through the Batcher adapter, a BatchSource feeds
-// the pipeline directly, and DisablePipeline falls back to the legacy
-// loop — all with identical results.
+// plain Source goes through the Batcher adapter and a BatchSource
+// feeds the pipeline directly, with identical results.
 func TestRunRoutesBatchSources(t *testing.T) {
 	var want []string
-	for i, mode := range []string{"sync", "batcher", "batch"} {
-		eng, m := ingestEngine(t, 2, mode == "sync", 0)
+	for i, mode := range []string{"batcher", "batch"} {
+		eng, m := ingestEngine(t, 2, 0)
 		var (
 			st  *Stats
 			err error
@@ -202,7 +202,7 @@ func TestRunRoutesBatchSources(t *testing.T) {
 			continue
 		}
 		if strings.Join(want, "\n") != strings.Join(got, "\n") {
-			t.Fatalf("%s outputs diverge from sync", mode)
+			t.Fatalf("%s outputs diverge from the batcher", mode)
 		}
 	}
 }

@@ -593,11 +593,7 @@ func (e *Engine) runSharded(src event.BatchSource) (*Stats, error) {
 	}
 
 	if r.ring == nil {
-		ra := e.cfg.ReadAhead
-		if ra <= 0 {
-			ra = defaultReadAhead
-		}
-		r.ring = newBatchRing(ra)
+		r.ring = newBatchRing(e.readAhead())
 	} else {
 		r.ring.arm()
 	}

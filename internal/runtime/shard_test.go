@@ -257,23 +257,15 @@ func TestShardConfigValidation(t *testing.T) {
 	if _, err := New(Config{Plan: p, Shards: -1}); err == nil {
 		t.Error("negative shard count accepted")
 	}
-	if _, err := New(Config{Plan: p, Shards: 4, DisablePipeline: true}); err == nil {
-		t.Error("sharded runtime accepted with the pipeline disabled")
-	}
-	// Explicit Workers without Shards resolves to the legacy pipeline.
-	eng, err := New(Config{Plan: p, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.nShards != 1 {
-		t.Errorf("Workers-only config resolved to %d shards, want 1", eng.nShards)
-	}
-	// Shards=0 with Workers unset scales to GOMAXPROCS.
-	eng, err = New(Config{Plan: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.nShards < 1 {
-		t.Errorf("default shard count = %d", eng.nShards)
+	// Shards=0 is one shard whatever GOMAXPROCS is, with or without an
+	// explicit worker pool size.
+	for _, cfg := range []Config{{Plan: p}, {Plan: p, Workers: 2}} {
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.nShards != 1 {
+			t.Errorf("Shards=0 Workers=%d resolved to %d shards, want 1", cfg.Workers, eng.nShards)
+		}
 	}
 }

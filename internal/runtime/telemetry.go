@@ -26,9 +26,9 @@ type runMetrics struct {
 	ticks      telemetry.Counter // dispatched ticks (Run goroutine)
 	partitions telemetry.Gauge   // interned partitions (Run goroutine)
 
-	// Ingest pipeline metrics (batch path only): batches dispatched
-	// (dispatch goroutine), arena slabs reclaimed (decode goroutine),
-	// and the read-ahead ring depth probe set by RunBatches.
+	// Ingest pipeline metrics: batches dispatched (dispatch
+	// goroutine), arena slabs reclaimed (decode goroutine), and the
+	// read-ahead ring depth probe set where the run builds its ring.
 	batches   telemetry.Counter
 	reclaims  telemetry.Counter
 	ringDepth func() int64
@@ -99,7 +99,6 @@ type queryMetrics struct {
 	negated     telemetry.Counter
 	negChecks   telemetry.Counter
 	arenaChunks telemetry.Counter
-	partials    telemetry.Gauge
 	negBuffered telemetry.Gauge
 	pending     telemetry.Gauge
 	runNodes    telemetry.Gauge
@@ -161,7 +160,6 @@ func (rm *runMetrics) reset() {
 		qm.negated.Reset()
 		qm.negChecks.Reset()
 		qm.arenaChunks.Reset()
-		qm.partials.Set(0)
 		qm.negBuffered.Set(0)
 		qm.pending.Set(0)
 		qm.runNodes.Set(0)
@@ -211,11 +209,9 @@ func (rm *runMetrics) register(reg *telemetry.Registry, e *Engine, workers []*wo
 		w := workers[i]
 		reg.Register("caesar_worker_queue_depth", "transactions queued at the worker",
 			telemetry.GaugeFunc(w.queueDepth), lbl)
-		if w.arena != nil {
-			reg.Register("caesar_derived_arena_chunks", "derived-event arena slabs allocated", &wm.derivedChunks, lbl)
-			reg.Register("caesar_derived_arena_live_chunks", "sealed derived-event slabs awaiting reclamation", &wm.derivedLive, lbl)
-			reg.Register("caesar_derived_arena_reclaimed_total", "derived-event slabs recycled by watermark reclamation", &wm.derivedReclaimed, lbl)
-		}
+		reg.Register("caesar_derived_arena_chunks", "derived-event arena slabs allocated", &wm.derivedChunks, lbl)
+		reg.Register("caesar_derived_arena_live_chunks", "sealed derived-event slabs awaiting reclamation", &wm.derivedLive, lbl)
+		reg.Register("caesar_derived_arena_reclaimed_total", "derived-event slabs recycled by watermark reclamation", &wm.derivedReclaimed, lbl)
 	}
 	for i := range rm.query {
 		lbl := telemetry.Label{Key: "query", Value: e.queryNames[i]}
@@ -226,7 +222,6 @@ func (rm *runMetrics) register(reg *telemetry.Registry, e *Engine, workers []*wo
 		reg.Register("caesar_query_negated_total", "matches invalidated by negation", &qm.negated, lbl)
 		reg.Register("caesar_query_negation_checks_total", "negation conditions evaluated against buffered candidates", &qm.negChecks, lbl)
 		reg.Register("caesar_query_arena_chunks_total", "arena slabs allocated", &qm.arenaChunks, lbl)
-		reg.Register("caesar_query_partials", "retained partial matches", &qm.partials, lbl)
 		reg.Register("caesar_query_neg_buffered", "buffered negation events", &qm.negBuffered, lbl)
 		reg.Register("caesar_query_pending", "matches awaiting a negation deadline", &qm.pending, lbl)
 		reg.Register("caesar_query_run_nodes", "shared automaton run nodes retained", &qm.runNodes, lbl)

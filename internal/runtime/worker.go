@@ -59,12 +59,9 @@ type worker struct {
 	merged    bool
 	mergeSink []*event.Event
 
-	// alloc hands out derived-event records to this worker's plan
-	// instances (DESIGN.md §3.8). It is the slab arena below unless
-	// Config.DisableDerivedArena routes construction to the GC heap.
-	alloc event.Allocator
-	// arena is the worker-owned derived-event arena (nil when
-	// disabled). Derived events are only ever referenced by this
+	// arena is the worker-owned derived-event arena (DESIGN.md §3.8):
+	// it hands out the derived-event records of this worker's plan
+	// instances. Derived events are only ever referenced by this
 	// worker's own partitions (chained pools, pattern state) and by
 	// the output path, so reclamation is worker-local: slabs recycle
 	// once the worker's completed mark minus slack passes them — and,
@@ -81,16 +78,8 @@ type worker struct {
 }
 
 func newWorker(e *Engine, id int, rm *runMetrics) *worker {
-	w := &worker{
-		eng:    e,
-		id:     id,
-		ch:     make(chan txnMsg, 256),
-		rm:     rm,
-		wm:     rm.workers[id],
-		timed:  rm.detail,
-		sentTS: math.MinInt64,
-	}
-	w.initAlloc(e)
+	w := newShardWorker(e, id, rm)
+	w.ch = make(chan txnMsg, 256)
 	w.completed.Store(math.MinInt64)
 	return w
 }
@@ -98,37 +87,22 @@ func newWorker(e *Engine, id int, rm *runMetrics) *worker {
 // newShardWorker builds a worker without a hand-off channel: the
 // owning engineShard drives it inline from its own goroutine.
 func newShardWorker(e *Engine, id int, rm *runMetrics) *worker {
-	w := &worker{
+	return &worker{
 		eng:    e,
 		id:     id,
 		rm:     rm,
 		wm:     rm.workers[id],
 		timed:  rm.detail,
 		sentTS: math.MinInt64,
+		arena:  event.NewArena(e.cfg.DerivedChunkEvents),
+		slack:  e.reclaimSlack(),
 	}
-	w.initAlloc(e)
-	return w
-}
-
-// initAlloc wires the worker's derived-event allocator: the slab
-// arena by default, the GC heap under Config.DisableDerivedArena.
-func (w *worker) initAlloc(e *Engine) {
-	w.slack = e.reclaimSlack()
-	if e.cfg.DisableDerivedArena {
-		w.alloc = event.HeapAlloc{}
-		return
-	}
-	w.arena = event.NewArena(e.cfg.DerivedChunkEvents)
-	w.alloc = w.arena
 }
 
 // reclaimDerived recycles derived-event slabs entirely below bound
 // and refreshes the worker's arena gauges (single-writer atomics, so
 // a live scrape never races the arena's plain counters).
 func (w *worker) reclaimDerived(bound int64) {
-	if w.arena == nil {
-		return
-	}
 	if freed := w.arena.ReclaimBefore(event.Time(bound)); freed > 0 {
 		w.wm.derivedReclaimed.Add(uint64(freed))
 	}
@@ -149,9 +123,7 @@ func (w *worker) resetForRun() {
 	}
 	w.collected = w.collected[:0]
 	w.mergeSink = w.mergeSink[:0]
-	if w.arena != nil {
-		w.arena.Reset()
-	}
+	w.arena.Reset()
 }
 
 // queueDepth is the worker's backlog for the live queue-depth gauge:
@@ -378,7 +350,7 @@ func (g *execGroup) exec(w *worker, now event.Time, batch []*event.Event) {
 		w.execsInTxn++
 		w.wm.eventsFed.Add(uint64(len(pool)))
 		derived := g.derived[:0]
-		derived, trans = is.inst.Exec(now, pool, w.alloc, derived, trans)
+		derived, trans = is.inst.Exec(now, pool, w.arena, derived, trans)
 		g.derived = derived[:0]
 		if w.rm.detail {
 			is.publishDetail(w.rm)
@@ -464,7 +436,6 @@ func (is *instanceState) publishDetail(rm *runMetrics) {
 func (is *instanceState) publishFootprint(rm *runMetrics) {
 	qm := &rm.query[is.qmIdx]
 	f := is.inst.Footprint()
-	qm.partials.Add(int64(f.Partials - is.lastFoot.Partials))
 	qm.negBuffered.Add(int64(f.NegBuffered - is.lastFoot.NegBuffered))
 	qm.pending.Add(int64(f.Pending - is.lastFoot.Pending))
 	qm.runNodes.Add(int64(f.RunNodes - is.lastFoot.RunNodes))
@@ -494,14 +465,10 @@ func (w *worker) emit(events []*event.Event) {
 			w.rm.outputLatency.Observe(wall - e.Arrival)
 		}
 		if w.eng.cfg.CollectOutputs {
-			c := e
-			if w.arena != nil {
-				// Stats.Outputs outlives the run; arena records do not
-				// (slabs recycle on watermark and on the next Run), so
-				// collected events are cloned to the heap here.
-				c = event.Clone(e)
-			}
-			w.collected = append(w.collected, c)
+			// Stats.Outputs outlives the run; arena records do not
+			// (slabs recycle on watermark and on the next Run), so
+			// collected events are cloned to the heap here.
+			w.collected = append(w.collected, event.Clone(e))
 		}
 		if w.merged {
 			w.mergeSink = append(w.mergeSink, e)

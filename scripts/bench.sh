@@ -35,7 +35,7 @@ go test -run=NONE -bench='BenchmarkEngine(ContextAware$|DispatchBound)' -benchme
 echo "== running ingest benchmarks (count=$count)" >&2
 go test -run=NONE -bench='BenchmarkIngest' -benchmem -count="$count" \
     ./internal/event/ | tee -a "$tmp2" >&2
-go test -run=NONE -bench='BenchmarkEngine(WireIngest|BatchStream|SyncIngest)' -benchmem -count="$count" \
+go test -run=NONE -bench='BenchmarkEngine(WireIngest|BatchStream)' -benchmem -count="$count" \
     . | tee -a "$tmp2" >&2
 
 echo "== running shard scaling benchmarks (count=$count)" >&2

@@ -100,29 +100,23 @@ echo "== bench guard (whole-run alloc ceilings)"
 check_alloc_ceiling 'BenchmarkEngineSharded$/shards=2$' . 50
 check_alloc_ceiling 'BenchmarkEngineContextAware$' . 7000
 
-# Kernel differential under the race detector, at higher counts than
-# the suite-wide pass: the shared-run automaton must stay emission-
-# identical to the preserved legacy kernel, including under the
-# pipelined multi-worker engine.
-echo "== go test -race (kernel differential focus)"
-go test -race -count=2 -run 'TestKernelDifferentialFuzz|TestPatternKernelEquivalence' ./internal/algebra/
-go test -race -count=2 -run 'TestPatternKernelsByteIdentical' .
+# Differentials under the race detector, at higher counts than the
+# suite-wide pass. Every toll run configuration (worker pool, wire and
+# generator ingest, 1/2/4 shards, fused plan, 64-event derived slabs)
+# must hit the one recorded toll fingerprint; the shared-run automaton
+# must stay emission-identical to the pre-arena reference kernel
+# (refPattern) and the brute-force enumerator; chained derived events
+# must survive slab recycling; and cached-run reuse must reproduce a
+# run exactly (DESIGN.md §3.4-§3.8).
+echo "== go test -race (toll fingerprint, kernel, arena and reuse differentials)"
+go test -race -count=2 -run 'TestTollFingerprint|TestIngestPathsByteIdentical|TestShardedTollByteIdentical|TestDerivedArenaTollByteIdentical|TestKernelDifferentialFuzz|TestPatternKernelEquivalence|TestPatternMatchesBruteForce|TestDerivedChainSurvivesReclamation|TestRunReuseIdenticalOutputs|TestShardedMatchesLegacy|TestShardedOrderedOutput|TestSpscRing' . ./internal/algebra/ ./internal/runtime/
 
-# Sharded runtime differential under the race detector: shards>1 must
-# stay byte-identical to the shards=1 legacy pipeline (ring hand-off,
-# per-shard completion marks, watermark and ordered output merge all
-# race-checked at higher counts than the suite-wide pass).
-echo "== go test -race (sharded runtime differential)"
-go test -race -count=2 -run 'TestShardedMatchesLegacy|TestShardedOrderedOutput|TestSpscRing' ./internal/runtime/
-go test -race -count=2 -run 'TestShardedTollByteIdentical' .
-
-# Derived-event arena differential under the race detector: arena
-# and heap construction must stay byte-identical across every
-# execution mode while tiny slabs recycle mid-run, and cached-run
-# reuse must reproduce a run exactly (PR 9, DESIGN.md §3.8).
-echo "== go test -race (derived arena differential)"
-go test -race -count=2 -run 'TestDerivedChainSurvivesReclamation|TestRunReuseIdenticalOutputs' ./internal/runtime/
-go test -race -run 'TestDerivedArenaTollByteIdentical' .
+# The engine never sizes itself from GOMAXPROCS, so the runtime and the
+# root differentials must pass the same way on one, two and eight cores.
+echo "== go test (GOMAXPROCS 1, 2, 8)"
+for p in 1 2 8; do
+    GOMAXPROCS=$p go test -count=3 ./internal/runtime/ .
+done
 
 # PR 10: crash recovery differential under the race detector — a run
 # killed at a tick boundary and recovered (snapshot restore + WAL

@@ -157,8 +157,6 @@ func TestTollFingerprint(t *testing.T) {
 	checkToll(t, []tollRow{
 		{name: "workers=3", cfg: Config{Workers: 3}},
 		{name: "fused", cfg: Config{Workers: 3, Sharing: true, FusePatterns: true}},
-		{name: "legacy-kernel", cfg: Config{Workers: 3, LegacyPatternKernel: true}},
-		{name: "legacy-kernel-fused", cfg: Config{Workers: 3, Sharing: true, FusePatterns: true, LegacyPatternKernel: true}},
 	})
 }
 
@@ -198,7 +196,6 @@ func TestIngestPathsByteIdentical(t *testing.T) {
 					t.Error("stream ingest reported no batches")
 				}
 			}},
-		{name: "sync", cfg: Config{Workers: 3, DisablePipeline: true}},
 	})
 }
 
@@ -223,7 +220,5 @@ func TestDerivedArenaTollByteIdentical(t *testing.T) {
 		{name: "shards=1", cfg: Config{Shards: 1, Workers: 3, DerivedChunkEvents: 64}},
 		{name: "shards=2", cfg: Config{Shards: 2, DerivedChunkEvents: 64}},
 		{name: "shards=4", cfg: Config{Shards: 4, DerivedChunkEvents: 64}},
-		{name: "sync", cfg: Config{Workers: 3, DisablePipeline: true, DerivedChunkEvents: 64}},
-		{name: "heap", cfg: Config{Workers: 3, DisableDerivedArena: true}},
 	})
 }
