@@ -24,8 +24,7 @@ func ablationRun(b *testing.B, opts plan.Options, sharing bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := runtime.New(runtime.Config{
-		Plan:        p,
+	eng, err := runtime.New(p, runtime.Config{
 		Sharing:     sharing,
 		PartitionBy: linearroad.PartitionBy(),
 		Workers:     4,
@@ -121,11 +120,10 @@ func BenchmarkAblationFusionOff(b *testing.B) {
 
 func benchFusion(b *testing.B, p *plan.Plan, m *model.Model, fusion bool) {
 	b.Helper()
-	eng, err := runtime.New(runtime.Config{
-		Plan:        p,
-		Fusion:      fusion,
-		PartitionBy: linearroad.PartitionBy(),
-		Workers:     4,
+	eng, err := runtime.New(p, runtime.Config{
+		FusePatterns: fusion,
+		PartitionBy:  linearroad.PartitionBy(),
+		Workers:      4,
 	})
 	if err != nil {
 		b.Fatal(err)

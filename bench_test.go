@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/caesar-cep/caesar/internal/experiments"
+	"github.com/caesar-cep/caesar/internal/telemetry"
 )
 
 // benchScale sizes the per-figure benchmarks so the whole suite
@@ -168,7 +169,7 @@ func BenchmarkEngineSharded(b *testing.B) {
 			eng, err := NewFromSource(dispatchBenchModel, Config{
 				PartitionBy: LinearRoadPartitionBy(),
 				Shards:      shards,
-				Stages:      NewStageTracer(0, 0),
+				Stages:      telemetry.NewStageTracer(0, 0),
 			})
 			if err != nil {
 				b.Fatal(err)

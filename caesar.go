@@ -51,17 +51,12 @@
 package caesar
 
 import (
-	"io"
-	"net/http"
-	"time"
-
 	"github.com/caesar-cep/caesar/internal/core"
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/linearroad"
 	"github.com/caesar-cep/caesar/internal/model"
 	"github.com/caesar-cep/caesar/internal/pam"
 	"github.com/caesar-cep/caesar/internal/runtime"
-	"github.com/caesar-cep/caesar/internal/telemetry"
 )
 
 // Core engine types.
@@ -70,68 +65,14 @@ type (
 	Engine = core.Engine
 	// Config selects execution strategy and tuning knobs; the zero
 	// value is the fully optimized context-aware configuration.
-	Config = core.Config
+	Config = runtime.Config
 	// Stats reports a run's measurements (maximal latency, counts,
 	// suspension savings).
 	Stats = runtime.Stats
-	// ContextStats is one context type's window activity in Stats.
-	ContextStats = runtime.ContextStats
 	// Model is a compiled CAESAR model: context types with a default
 	// context plus the compiled context-aware queries.
 	Model = model.Model
 )
-
-// Telemetry types (see internal/telemetry and DESIGN.md §3.3, §3.7):
-// a registry set on Config.Telemetry receives the engine's live
-// metric families; a tracer on Config.Tracer records per-transaction
-// spans; a stage tracer on Config.Stages samples tick timelines
-// through every pipeline stage; a health set on Config.Health
-// receives the run's liveness probes.
-type (
-	// TelemetryRegistry is a named view over the engine's lock-free
-	// metric objects, scrapeable as Prometheus text or JSON.
-	TelemetryRegistry = telemetry.Registry
-	// Tracer records stream-transaction spans and logs slow ones.
-	Tracer = telemetry.Tracer
-	// StageTracer samples per-tick stage timelines into latency
-	// histograms and a flight recorder, served on /tracez.
-	StageTracer = telemetry.StageTracer
-	// Health is an ordered set of liveness/readiness probes, served
-	// on /healthz.
-	Health = telemetry.Health
-	// AdminConfig bundles the backing state of the admin HTTP
-	// surface (see NewAdminHandler).
-	AdminConfig = telemetry.Admin
-)
-
-// NewTelemetryRegistry creates an empty metrics registry.
-func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
-
-// NewTracer creates a transaction tracer that logs transactions
-// slower than threshold to w (nil w discards; see telemetry.NewTracer).
-func NewTracer(threshold time.Duration, w io.Writer) *Tracer {
-	return telemetry.NewTracer(threshold, w)
-}
-
-// NewStageTracer creates a stage tracer sampling one in sampleRate
-// ticks into a flight recorder of depth timelines (0 picks defaults;
-// see telemetry.NewStageTracer). Set it on Config.Stages.
-func NewStageTracer(sampleRate, depth int) *StageTracer {
-	return telemetry.NewStageTracer(sampleRate, depth)
-}
-
-// NewHealth creates an empty probe set. Set it on Config.Health and
-// the run registers its engine/watermark/backlog probes.
-func NewHealth() *Health { return telemetry.NewHealth() }
-
-// TelemetryHandler serves a registry over HTTP: /metrics (Prometheus
-// text), /statusz (JSON) and /debug/pprof.
-func TelemetryHandler(r *TelemetryRegistry) http.Handler { return telemetry.Handler(r) }
-
-// NewAdminHandler serves the full admin surface — /metrics, /statusz,
-// /tracez, /healthz, /buildz and /debug/pprof — for whatever parts of
-// a are set; unset parts degrade gracefully.
-func NewAdminHandler(a AdminConfig) http.Handler { return telemetry.NewHandler(a) }
 
 // Event model types.
 type (
@@ -149,30 +90,7 @@ type (
 	SliceSource = event.SliceSource
 	// Registry resolves event type names to schemas.
 	Registry = event.Registry
-	// Batch is one tick-aligned slice of an event stream.
-	Batch = event.Batch
-	// BatchSource yields tick-aligned event batches; sources
-	// implementing it feed the engine's pipelined ingest path
-	// (DESIGN.md §3.4).
-	BatchSource = event.BatchSource
-	// EventReader decodes the line format as a Source and BatchSource.
-	EventReader = event.Reader
-	// EventWriter encodes events in the line format.
-	EventWriter = event.Writer
 )
-
-// NewEventReader decodes the engine's line format (TypeName|time|v...)
-// from r against the registry. The reader serves both stream
-// protocols: per-event Next and arena-backed, allocation-free
-// NextBatch.
-func NewEventReader(r io.Reader, reg *Registry) *EventReader { return event.NewReader(r, reg) }
-
-// NewEventWriter encodes events in the engine's line format onto w,
-// the inverse of NewEventReader.
-func NewEventWriter(w io.Writer) *EventWriter { return event.NewWriter(w) }
-
-// NewBatcher adapts a per-event Source to the batch protocol.
-func NewBatcher(src Source) BatchSource { return event.NewBatcher(src) }
 
 // New compiles and configures an engine for a model.
 func New(m *Model, cfg Config) (*Engine, error) { return core.NewEngine(m, cfg) }
@@ -228,18 +146,6 @@ func LinearRoadDefaults() LinearRoadConfig { return linearroad.DefaultConfig() }
 // engine's registry.
 func GenerateLinearRoad(cfg LinearRoadConfig, reg *Registry) ([]*Event, error) {
 	return linearroad.Generate(cfg, reg)
-}
-
-// LinearRoadStream is the batch-oriented traffic generator: it emits
-// ticks directly into an event slab arena (no per-event allocation)
-// and reclaims slabs as the engine's watermark advances. Feed it to
-// Engine.RunBatches.
-type LinearRoadStream = linearroad.Stream
-
-// NewLinearRoadStream builds the batch generator; it produces the
-// same events as GenerateLinearRoad, in the same order.
-func NewLinearRoadStream(cfg LinearRoadConfig, reg *Registry) (*LinearRoadStream, error) {
-	return linearroad.NewStream(cfg, reg)
 }
 
 // LinearRoadPartitionBy is the partition key of the traffic model

@@ -39,7 +39,6 @@ func main() {
 	workers := flag.Int("workers", 4, "worker pool size (legacy pipeline; ignored when -shards > 1)")
 	shards := flag.Int("shards", 1, "engine shards, each owning its partitions end to end (1 = classic pipeline, 0 = GOMAXPROCS)")
 	pacing := flag.Duration("pacing", 0, "wall time per application time unit (0 = as fast as possible)")
-	readAhead := flag.Int("read-ahead", 0, "ingest read-ahead ring depth in batches (0 = default)")
 	durableDir := flag.String("durable-dir", "", "directory for the input WAL and state checkpoints; a re-run over the same directory recovers and resumes")
 	ckptEvery := flag.Int("checkpoint-interval", 0, "ticks between state checkpoints (0 = default; used with -durable-dir)")
 	walSync := flag.String("wal-sync", "tick", "WAL fsync cadence: 'tick', 'async', or a tick count N (used with -durable-dir)")
@@ -82,13 +81,18 @@ func main() {
 		Workers:            *workers,
 		Shards:             *shards,
 		Pacing:             *pacing,
-		ReadAhead:          *readAhead,
 		DurableDir:         *durableDir,
 		CheckpointEvery:    *ckptEvery,
 		WALSync:            parseWALSync(*walSync),
 	}
 	if *traceSample > 0 {
 		engCfg.Stages = telemetry.NewStageTracer(*traceSample, 0)
+	}
+	// Resolve once: the engine and /buildz see the same effective
+	// values.
+	engCfg, err = engCfg.Resolve()
+	if err != nil {
+		fail(err)
 	}
 	if *listen != "" {
 		serve(m, *listen, *admin, engCfg)

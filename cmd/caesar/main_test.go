@@ -107,9 +107,10 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAdminEndpointSmoke replays a short paced Linear Road stream
-// with -admin enabled and scrapes /metrics and /statusz while the
-// run is live.
+// TestAdminEndpointSmoke replays a short paced, durable Linear Road
+// stream with -admin enabled and scrapes /metrics and /statusz while
+// the run is live, then checks that /buildz reports the resolved
+// configuration rather than the flags' zero values.
 func TestAdminEndpointSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -134,7 +135,7 @@ func TestAdminEndpointSmoke(t *testing.T) {
 	// Pacing stretches the replay to ~2s of wall time so the scrape
 	// below observes a live run.
 	run := exec.Command(caesarBin, "-model", modelPath, "-partition-by", "xway,dir,seg",
-		"-quiet", "-admin", "127.0.0.1:0", "-pacing", "5ms")
+		"-quiet", "-admin", "127.0.0.1:0", "-pacing", "5ms", "-durable-dir", filepath.Join(dir, "state"))
 	run.Stdin = bytes.NewReader(events)
 	stderrPipe, err := run.StderrPipe()
 	if err != nil {
@@ -175,6 +176,23 @@ func TestAdminEndpointSmoke(t *testing.T) {
 	statusz := scrape(t, "http://"+addr+"/statusz", "caesar_events_total")
 	if !strings.Contains(statusz, "caesar_worker_txns_total") {
 		t.Errorf("/statusz missing worker counters: %s", statusz)
+	}
+
+	// No -checkpoint-interval and the default -wal-sync: /buildz shows
+	// the defaults the engine runs with, and no read-ahead knob.
+	bz := scrape(t, "http://"+addr+"/buildz", `"go_version"`)
+	var build struct {
+		Config map[string]string `json:"config"`
+	}
+	if err := json.Unmarshal([]byte(bz), &build); err != nil {
+		t.Fatalf("/buildz is not JSON: %v\n%s", err, bz)
+	}
+	c := build.Config
+	if c["checkpoint_every"] != "512" || c["wal_sync"] != "1" || c["workers"] != "4" || c["shards"] != "1" {
+		t.Errorf("/buildz does not show the resolved config: %v", c)
+	}
+	if _, ok := c["read_ahead"]; ok {
+		t.Errorf("/buildz reports a read_ahead knob: %v", c)
 	}
 }
 

@@ -3,6 +3,9 @@ package caesar
 import (
 	"bytes"
 	"testing"
+
+	"github.com/caesar-cep/caesar/internal/event"
+	"github.com/caesar-cep/caesar/internal/linearroad"
 )
 
 // dispatchGen sizes the stream for the ingest-bound benchmarks: the
@@ -31,7 +34,7 @@ func BenchmarkEngineWireIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	var wire bytes.Buffer
-	w := NewEventWriter(&wire)
+	w := event.NewWriter(&wire)
 	for _, e := range events {
 		if err := w.Write(e); err != nil {
 			b.Fatal(err)
@@ -42,7 +45,7 @@ func BenchmarkEngineWireIngest(b *testing.B) {
 	}
 	raw := wire.Bytes()
 	br := bytes.NewReader(raw)
-	rd := NewEventReader(br, eng.Registry())
+	rd := event.NewReader(br, eng.Registry())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,7 +73,7 @@ func BenchmarkEngineBatchStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src, err := NewLinearRoadStream(dispatchGen(), eng.Registry())
+	src, err := linearroad.NewStream(dispatchGen(), eng.Registry())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,11 +16,11 @@ import (
 	"strings"
 	"time"
 
+	"github.com/caesar-cep/caesar/internal/core"
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/linearroad"
 	"github.com/caesar-cep/caesar/internal/model"
 	"github.com/caesar-cep/caesar/internal/pam"
-	"github.com/caesar-cep/caesar/internal/plan"
 	"github.com/caesar-cep/caesar/internal/runtime"
 )
 
@@ -131,16 +131,16 @@ func fmtRatio(r float64) string { return fmt.Sprintf("%.2f", r) }
 
 // lrRun configures one Linear Road engine execution.
 type lrRun struct {
-	replicas int
-	roads    int
-	mode     runtime.Mode
-	sharing  bool
-	pushDown bool
-	script   linearroad.Script
-	duration int64
-	segments int
-	workers  int
-	pacing   time.Duration
+	replicas   int
+	roads      int
+	baseline   bool // the context-independent strategy
+	sharing    bool
+	noPushDown bool
+	script     linearroad.Script
+	duration   int64
+	segments   int
+	workers    int
+	pacing     time.Duration
 }
 
 // runLR compiles the traffic model, generates the stream and runs it,
@@ -150,24 +150,13 @@ func runLR(r lrRun) (*runtime.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := plan.Optimized()
-	switch {
-	case r.mode == runtime.ContextIndependent:
-		opts = plan.Baseline()
-	case !r.pushDown:
-		opts = plan.NonOptimized()
-	}
-	p, err := plan.Build(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := runtime.New(runtime.Config{
-		Plan:        p,
-		Mode:        r.mode,
-		Sharing:     r.sharing,
-		PartitionBy: linearroad.PartitionBy(),
-		Workers:     r.workers,
-		Pacing:      r.pacing,
+	eng, err := core.NewEngine(m, core.Config{
+		ContextIndependent: r.baseline,
+		Sharing:            r.sharing,
+		DisablePushDown:    r.noPushDown,
+		PartitionBy:        linearroad.PartitionBy(),
+		Workers:            r.workers,
+		Pacing:             r.pacing,
 	})
 	if err != nil {
 		return nil, err
@@ -185,24 +174,16 @@ func runLR(r lrRun) (*runtime.Stats, error) {
 }
 
 // runPAM runs the physical activity monitoring workload.
-func runPAM(replicas int, mode runtime.Mode, duration int64, workers int) (*runtime.Stats, error) {
+// The baseline flag selects the context-independent strategy.
+func runPAM(replicas int, baseline bool, duration int64, workers int) (*runtime.Stats, error) {
 	m, err := model.CompileSource(pam.ModelSource(replicas))
 	if err != nil {
 		return nil, err
 	}
-	opts := plan.Optimized()
-	if mode == runtime.ContextIndependent {
-		opts = plan.Baseline()
-	}
-	p, err := plan.Build(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := runtime.New(runtime.Config{
-		Plan:        p,
-		Mode:        mode,
-		PartitionBy: pam.PartitionBy(),
-		Workers:     workers,
+	eng, err := core.NewEngine(m, core.Config{
+		ContextIndependent: baseline,
+		PartitionBy:        pam.PartitionBy(),
+		Workers:            workers,
 	})
 	if err != nil {
 		return nil, err
@@ -221,3 +202,27 @@ func runPAM(replicas int, mode runtime.Mode, duration int64, workers int) (*runt
 // latency is what the paper reports; effort makes the tables
 // reproducible on loaded CI machines.
 func effort(st *runtime.Stats) uint64 { return st.EventsFed }
+
+// winRatio is the paper's headline metric: the maximal latency of the
+// baseline divided by the maximal latency of the contender (§7.1).
+// It returns 0 when the contender latency is zero.
+func winRatio(baseline, contender time.Duration) float64 {
+	if contender <= 0 {
+		return 0
+	}
+	return float64(baseline) / float64(contender)
+}
+
+// lFactor is the scalability metric of the Linear Road benchmark: the
+// largest input scale (number of roads) whose maximal latency stays
+// within the constraint. latencies[i] is the measured maximal latency
+// at scale scales[i]; scales must be increasing.
+func lFactor(scales []int, latencies []time.Duration, constraint time.Duration) int {
+	best := 0
+	for i, s := range scales {
+		if latencies[i] <= constraint && s > best {
+			best = s
+		}
+	}
+	return best
+}

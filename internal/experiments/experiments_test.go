@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tiny is an even smaller scale than Quick for unit tests.
@@ -299,5 +300,25 @@ func TestScalePresets(t *testing.T) {
 	}
 	if q.LRDuration >= f.LRDuration || q.MaxQueries >= f.MaxQueries {
 		t.Error("quick not smaller than full")
+	}
+}
+
+func TestWinRatio(t *testing.T) {
+	if got := winRatio(80*time.Millisecond, 10*time.Millisecond); got != 8 {
+		t.Errorf("win ratio = %g", got)
+	}
+	if got := winRatio(time.Second, 0); got != 0 {
+		t.Errorf("zero contender ratio = %g", got)
+	}
+}
+
+func TestLFactor(t *testing.T) {
+	scales := []int{2, 3, 5, 7, 8}
+	lat := []time.Duration{1, 2, 4, 5, 9}
+	if got := lFactor(scales, lat, 5); got != 7 {
+		t.Errorf("L-factor = %d, want 7", got)
+	}
+	if got := lFactor(scales, lat, 0); got != 0 {
+		t.Errorf("L-factor under impossible constraint = %d", got)
 	}
 }

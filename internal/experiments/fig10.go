@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/caesar-cep/caesar/internal/core"
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/linearroad"
 	"github.com/caesar-cep/caesar/internal/model"
-	"github.com/caesar-cep/caesar/internal/plan"
 	"github.com/caesar-cep/caesar/internal/runtime"
 )
 
@@ -18,12 +18,7 @@ func fig10Run(s Scale) (*runtime.Stats, []*event.Event, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, err := runtime.New(runtime.Config{
-		Plan:           p,
+	eng, err := core.NewEngine(m, core.Config{
 		PartitionBy:    linearroad.PartitionBy(),
 		Workers:        s.Workers,
 		CollectOutputs: true,

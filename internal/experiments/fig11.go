@@ -5,9 +5,7 @@ import (
 	"math"
 	"time"
 
-	"github.com/caesar-cep/caesar/internal/metrics"
 	"github.com/caesar-cep/caesar/internal/optimizer"
-	"github.com/caesar-cep/caesar/internal/runtime"
 )
 
 // Fig11a reproduces the optimizer search comparison (paper Fig.
@@ -92,14 +90,14 @@ func Fig11b(s Scale) (*Table, error) {
 		// One worker: latency then tracks total work monotonically,
 		// which is what the L-factor crossover needs.
 		run := lrRun{
-			replicas: 3, roads: roads, mode: runtime.ContextAware, pushDown: true,
+			replicas: 3, roads: roads,
 			duration: s.LRDuration, segments: s.LRSegments, workers: 1,
 		}
 		optL, optE, err := best(run)
 		if err != nil {
 			return nil, err
 		}
-		run.pushDown = false
+		run.noPushDown = true
 		nonL, nonE, err := best(run)
 		if err != nil {
 			return nil, err
@@ -118,8 +116,8 @@ func Fig11b(s Scale) (*Table, error) {
 	// more — the paper's 7-vs-5 relation at our scale.
 	if len(optLat) > 0 {
 		constraint := nonLat[(len(nonLat)-1)*2/3] + nonLat[(len(nonLat)-1)*2/3]/20
-		lOpt := metrics.LFactor(scales, optLat, constraint)
-		lNon := metrics.LFactor(scales, nonLat, constraint)
+		lOpt := lFactor(scales, optLat, constraint)
+		lNon := lFactor(scales, nonLat, constraint)
 		t.Notes = append(t.Notes,
 			fmt.Sprintf("constraint %s (scaled stand-in for the benchmark's 5 s): L-factor optimized=%d, non-optimized=%d",
 				fmtDur(constraint), lOpt, lNon),

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"github.com/caesar-cep/caesar/internal/linearroad"
-	"github.com/caesar-cep/caesar/internal/metrics"
-	"github.com/caesar-cep/caesar/internal/runtime"
 )
 
 // criticalScript reproduces the §7.3.1 workload setup: two critical
@@ -33,7 +31,7 @@ func Fig12a(s Scale) (*Table, error) {
 	}
 	for q := 2; q <= s.MaxQueries; q += 2 {
 		ca, err := runLR(lrRun{
-			replicas: q, roads: 1, mode: runtime.ContextAware, pushDown: true,
+			replicas: q, roads: 1,
 			script:   criticalScript(s.LRDuration),
 			duration: s.LRDuration, segments: s.LRSegments, workers: s.Workers,
 		})
@@ -41,27 +39,27 @@ func Fig12a(s Scale) (*Table, error) {
 			return nil, err
 		}
 		ci, err := runLR(lrRun{
-			replicas: q, roads: 1, mode: runtime.ContextIndependent,
+			replicas: q, roads: 1, baseline: true,
 			script:   criticalScript(s.LRDuration),
 			duration: s.LRDuration, segments: s.LRSegments, workers: s.Workers,
 		})
 		if err != nil {
 			return nil, err
 		}
-		pca, err := runPAM(q, runtime.ContextAware, s.LRDuration, s.Workers)
+		pca, err := runPAM(q, false, s.LRDuration, s.Workers)
 		if err != nil {
 			return nil, err
 		}
-		pci, err := runPAM(q, runtime.ContextIndependent, s.LRDuration, s.Workers)
+		pci, err := runPAM(q, true, s.LRDuration, s.Workers)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprint(q),
 			fmtDur(ca.MaxLatency), fmtDur(ci.MaxLatency),
-			fmtRatio(metrics.WinRatio(ci.MaxLatency, ca.MaxLatency)),
+			fmtRatio(winRatio(ci.MaxLatency, ca.MaxLatency)),
 			fmtRatio(float64(effort(ci))/float64(effort(ca))),
 			fmtDur(pca.MaxLatency), fmtDur(pci.MaxLatency),
-			fmtRatio(metrics.WinRatio(pci.MaxLatency, pca.MaxLatency)))
+			fmtRatio(winRatio(pci.MaxLatency, pca.MaxLatency)))
 	}
 	t.Notes = append(t.Notes,
 		"paper: CA ~8x faster than CI at 10 queries (LR); same win at 20 queries (PAM)")
@@ -78,7 +76,7 @@ func Fig12b(s Scale) (*Table, error) {
 	}
 	for roads := 2; roads <= min(s.MaxRoads, 7); roads++ {
 		ca, err := runLR(lrRun{
-			replicas: 6, roads: roads, mode: runtime.ContextAware, pushDown: true,
+			replicas: 6, roads: roads,
 			script:   criticalScript(s.LRDuration),
 			duration: s.LRDuration, segments: s.LRSegments, workers: s.Workers,
 		})
@@ -86,7 +84,7 @@ func Fig12b(s Scale) (*Table, error) {
 			return nil, err
 		}
 		ci, err := runLR(lrRun{
-			replicas: 6, roads: roads, mode: runtime.ContextIndependent,
+			replicas: 6, roads: roads, baseline: true,
 			script:   criticalScript(s.LRDuration),
 			duration: s.LRDuration, segments: s.LRSegments, workers: s.Workers,
 		})
@@ -94,7 +92,7 @@ func Fig12b(s Scale) (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprint(roads), fmtDur(ca.MaxLatency), fmtDur(ci.MaxLatency),
-			fmtRatio(metrics.WinRatio(ci.MaxLatency, ca.MaxLatency)),
+			fmtRatio(winRatio(ci.MaxLatency, ca.MaxLatency)),
 			fmtRatio(float64(effort(ci))/float64(effort(ca))))
 	}
 	t.Notes = append(t.Notes, "paper: CA 9x faster than CI at 7 roads")
@@ -133,14 +131,14 @@ func Fig12c(s Scale) (*Table, error) {
 	for _, frac := range []float64{0.1, 0.25, 0.5, 0.75} {
 		script, length, suspendable := coverageScript(s.LRDuration, windows, frac)
 		ca, err := runLR(lrRun{
-			replicas: 6, roads: 1, mode: runtime.ContextAware, pushDown: true, script: script,
+			replicas: 6, roads: 1, script: script,
 			duration: s.LRDuration, segments: s.LRSegments, workers: s.Workers,
 		})
 		if err != nil {
 			return nil, err
 		}
 		ci, err := runLR(lrRun{
-			replicas: 6, roads: 1, mode: runtime.ContextIndependent, script: script,
+			replicas: 6, roads: 1, baseline: true, script: script,
 			duration: s.LRDuration, segments: s.LRSegments, workers: s.Workers,
 		})
 		if err != nil {
@@ -149,7 +147,7 @@ func Fig12c(s Scale) (*Table, error) {
 		t.AddRow(fmt.Sprint(length),
 			fmt.Sprintf("%.0f%%", 100*suspendable),
 			fmtDur(ca.MaxLatency), fmtDur(ci.MaxLatency),
-			fmtRatio(metrics.WinRatio(ci.MaxLatency, ca.MaxLatency)),
+			fmtRatio(winRatio(ci.MaxLatency, ca.MaxLatency)),
 			fmtRatio(float64(effort(ci))/float64(effort(ca))))
 	}
 	t.Notes = append(t.Notes,
@@ -174,14 +172,14 @@ func Fig12d(s Scale) (*Table, error) {
 		script := linearroad.UniformWindows(s.LRDuration, n, length, linearroad.Congestion)
 		suspendable := 1 - float64(length*int64(n))/float64(s.LRDuration)
 		ca, err := runLR(lrRun{
-			replicas: 6, roads: 1, mode: runtime.ContextAware, pushDown: true, script: script,
+			replicas: 6, roads: 1, script: script,
 			duration: s.LRDuration, segments: s.LRSegments, workers: s.Workers,
 		})
 		if err != nil {
 			return nil, err
 		}
 		ci, err := runLR(lrRun{
-			replicas: 6, roads: 1, mode: runtime.ContextIndependent, script: script,
+			replicas: 6, roads: 1, baseline: true, script: script,
 			duration: s.LRDuration, segments: s.LRSegments, workers: s.Workers,
 		})
 		if err != nil {
@@ -190,7 +188,7 @@ func Fig12d(s Scale) (*Table, error) {
 		t.AddRow(fmt.Sprint(n),
 			fmt.Sprintf("%.0f%%", 100*suspendable),
 			fmtDur(ca.MaxLatency), fmtDur(ci.MaxLatency),
-			fmtRatio(metrics.WinRatio(ci.MaxLatency, ca.MaxLatency)),
+			fmtRatio(winRatio(ci.MaxLatency, ca.MaxLatency)),
 			fmtRatio(float64(effort(ci))/float64(effort(ca))))
 	}
 	t.Notes = append(t.Notes,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/caesar-cep/caesar/internal/linearroad"
-	"github.com/caesar-cep/caesar/internal/runtime"
 )
 
 // Placement positions the critical context windows over the run
@@ -81,7 +80,7 @@ func Fig13(s Scale) (*Table, error) {
 		var efforts []string
 		for _, p := range []Placement{Uniform, PosSkew, NegSkew} {
 			st, err := runLR(lrRun{
-				replicas: q, roads: 1, mode: runtime.ContextAware, pushDown: true,
+				replicas: q, roads: 1,
 				script:   placementScript(s.LRDuration, windows, length, p),
 				duration: s.LRDuration, segments: s.LRSegments, workers: s.Workers,
 			})

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/caesar-cep/caesar/internal/core"
 	"github.com/caesar-cep/caesar/internal/event"
-	"github.com/caesar-cep/caesar/internal/metrics"
 	"github.com/caesar-cep/caesar/internal/model"
 	"github.com/caesar-cep/caesar/internal/pam"
-	"github.com/caesar-cep/caesar/internal/plan"
 	"github.com/caesar-cep/caesar/internal/runtime"
 )
 
@@ -147,13 +146,7 @@ func (o overlapSpec) run(sharing bool) (*runtime.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		return nil, err
-	}
-	eng, err := runtime.New(runtime.Config{
-		Plan:        p,
-		Mode:        runtime.ContextAware,
+	eng, err := core.NewEngine(m, core.Config{
 		Sharing:     sharing,
 		PartitionBy: []string{"seg"},
 		Workers:     o.Workers,
@@ -215,7 +208,7 @@ func Fig14a(s Scale) (*Table, error) {
 		}
 		t.AddRow(fmt.Sprint(n), fmt.Sprint(o.maxConcurrent()),
 			fmtDur(sh.MaxLatency), fmtDur(non.MaxLatency),
-			fmtRatio(metrics.WinRatio(non.MaxLatency, sh.MaxLatency)),
+			fmtRatio(winRatio(non.MaxLatency, sh.MaxLatency)),
 			fmtRatio(float64(non.InstanceExecs)/float64(sh.InstanceExecs)))
 	}
 	t.Notes = append(t.Notes, "paper: sharing wins 10x when 45 windows overlap")
@@ -239,7 +232,7 @@ func Fig14b(s Scale) (*Table, error) {
 		}
 		t.AddRow(fmt.Sprint(overlap),
 			fmtDur(sh.MaxLatency), fmtDur(non.MaxLatency),
-			fmtRatio(metrics.WinRatio(non.MaxLatency, sh.MaxLatency)),
+			fmtRatio(winRatio(non.MaxLatency, sh.MaxLatency)),
 			fmtRatio(float64(non.InstanceExecs)/float64(sh.InstanceExecs)))
 	}
 	t.Notes = append(t.Notes,
@@ -269,7 +262,7 @@ func Fig14c(s Scale) (*Table, error) {
 		}
 		t.AddRow(fmt.Sprint(q),
 			fmtDur(sh.MaxLatency), fmtDur(non.MaxLatency),
-			fmtRatio(metrics.WinRatio(non.MaxLatency, sh.MaxLatency)),
+			fmtRatio(winRatio(non.MaxLatency, sh.MaxLatency)),
 			fmtRatio(float64(effort(non))/float64(effort(sh))),
 			fmtDur(psh.MaxLatency), fmtDur(pnon.MaxLatency))
 	}
@@ -299,12 +292,7 @@ CONTEXT %s
 		if err != nil {
 			return nil, err
 		}
-		p, err := plan.Build(m, plan.Optimized())
-		if err != nil {
-			return nil, err
-		}
-		eng, err := runtime.New(runtime.Config{
-			Plan:        p,
+		eng, err := core.NewEngine(m, core.Config{
 			Sharing:     sharing,
 			PartitionBy: pam.PartitionBy(),
 			Workers:     s.Workers,

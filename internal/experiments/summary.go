@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"github.com/caesar-cep/caesar/internal/metrics"
-	"github.com/caesar-cep/caesar/internal/runtime"
 )
 
 // Runner regenerates one figure.
@@ -74,7 +71,7 @@ func Summary(s Scale) (*Table, error) {
 	var n int
 	for q := 4; q <= s.MaxQueries; q += 4 {
 		ca, err := runLR(lrRun{
-			replicas: q, roads: 1, mode: runtime.ContextAware, pushDown: true,
+			replicas: q, roads: 1,
 			script:   criticalScript(s.LRDuration),
 			duration: s.LRDuration, segments: s.LRSegments, workers: s.Workers,
 		})
@@ -82,14 +79,14 @@ func Summary(s Scale) (*Table, error) {
 			return nil, err
 		}
 		ci, err := runLR(lrRun{
-			replicas: q, roads: 1, mode: runtime.ContextIndependent,
+			replicas: q, roads: 1, baseline: true,
 			script:   criticalScript(s.LRDuration),
 			duration: s.LRDuration, segments: s.LRSegments, workers: s.Workers,
 		})
 		if err != nil {
 			return nil, err
 		}
-		win := metrics.WinRatio(ci.MaxLatency, ca.MaxLatency)
+		win := winRatio(ci.MaxLatency, ca.MaxLatency)
 		eff := float64(effort(ci)) / float64(effort(ca))
 		latSum += win
 		effSum += eff

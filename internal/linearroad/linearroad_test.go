@@ -3,9 +3,9 @@ package linearroad
 import (
 	"testing"
 
+	"github.com/caesar-cep/caesar/internal/core"
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/model"
-	"github.com/caesar-cep/caesar/internal/plan"
 	"github.com/caesar-cep/caesar/internal/runtime"
 )
 
@@ -143,24 +143,16 @@ func TestRampGrowsEventRate(t *testing.T) {
 	}
 }
 
-// runLR executes the benchmark end to end and returns outputs.
-func runLR(t testing.TB, replicas int, cfg Config, mode runtime.Mode) (*runtime.Stats, Config) {
+// runLR executes the benchmark end to end and returns outputs;
+// baseline selects the context-independent strategy.
+func runLR(t testing.TB, replicas int, cfg Config, baseline bool) (*runtime.Stats, Config) {
 	t.Helper()
 	m := compileLR(t, replicas)
-	opts := plan.Optimized()
-	if mode == runtime.ContextIndependent {
-		opts = plan.Baseline()
-	}
-	p, err := plan.Build(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := runtime.New(runtime.Config{
-		Plan:           p,
-		Mode:           mode,
-		PartitionBy:    PartitionBy(),
-		Workers:        4,
-		CollectOutputs: true,
+	eng, err := core.NewEngine(m, core.Config{
+		ContextIndependent: baseline,
+		PartitionBy:        PartitionBy(),
+		Workers:            4,
+		CollectOutputs:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +172,7 @@ func TestBenchmarkSemantics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Segments = 10
 	cfg.Duration = 900
-	st, _ := runLR(t, 1, cfg, runtime.ContextAware)
+	st, _ := runLR(t, 1, cfg, false)
 
 	if st.PerType["TollNotification"] == 0 {
 		t.Fatal("no tolls derived")
@@ -226,8 +218,8 @@ func TestContextAwareBeatsContextIndependent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Segments = 6
 	cfg.Duration = 600
-	ca, _ := runLR(t, 3, cfg, runtime.ContextAware)
-	ci, _ := runLR(t, 3, cfg, runtime.ContextIndependent)
+	ca, _ := runLR(t, 3, cfg, false)
+	ci, _ := runLR(t, 3, cfg, true)
 	if ci.InstanceExecs <= 2*ca.InstanceExecs {
 		t.Errorf("CI execs %d not clearly above CA execs %d", ci.InstanceExecs, ca.InstanceExecs)
 	}

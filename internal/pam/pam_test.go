@@ -3,10 +3,9 @@ package pam
 import (
 	"testing"
 
+	"github.com/caesar-cep/caesar/internal/core"
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/model"
-	"github.com/caesar-cep/caesar/internal/plan"
-	"github.com/caesar-cep/caesar/internal/runtime"
 )
 
 func compilePAM(t testing.TB, replicas int) *model.Model {
@@ -81,12 +80,7 @@ func TestGenerateStream(t *testing.T) {
 
 func TestEndToEndActivityMonitoring(t *testing.T) {
 	m := compilePAM(t, 2)
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := runtime.New(runtime.Config{
-		Plan:           p,
+	eng, err := core.NewEngine(m, core.Config{
 		PartitionBy:    PartitionBy(),
 		Workers:        4,
 		CollectOutputs: true,

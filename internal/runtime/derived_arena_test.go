@@ -13,7 +13,6 @@ import (
 
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/model"
-	"github.com/caesar-cep/caesar/internal/plan"
 )
 
 const chainSrc = `
@@ -41,22 +40,13 @@ func chainEngine(t testing.TB, mutate func(*Config)) (*Engine, *model.Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
-		Plan:               p,
 		PartitionBy:        []string{"k"},
 		CollectOutputs:     true,
 		DerivedChunkEvents: 8,
 	}
 	mutate(&cfg)
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, m
+	return newEngine(t, m, cfg), m
 }
 
 // chainStream emits one A per key per tick: every tick derives three

@@ -8,7 +8,6 @@ import (
 
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/model"
-	"github.com/caesar-cep/caesar/internal/plan"
 )
 
 // derivedHeavySrc makes every input event derive: each position
@@ -47,14 +46,7 @@ func BenchmarkEngineDerivedHeavy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := New(Config{Plan: p, PartitionBy: []string{"seg"}, Shards: nShards})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := newEngine(b, m, Config{PartitionBy: []string{"seg"}, Shards: nShards})
 
 	// The real run scaffolding, driven by the benchmark loop standing
 	// in for the router: one preallocated tick re-timed per iteration

@@ -34,7 +34,7 @@ import (
 )
 
 // defaultCheckpointEvery is the snapshot interval, in dispatched
-// ticks, when Config.CheckpointEvery is 0.
+// ticks, that Resolve sets when Config.CheckpointEvery is 0.
 const defaultCheckpointEvery = 512
 
 // maxHealthyBacklog is the WAL backlog (bytes appended since the last
@@ -105,25 +105,18 @@ func (e *Engine) newDurableState() *durableState {
 		every:       e.cfg.CheckpointEvery,
 		fingerprint: e.durabilityFingerprint(),
 	}
-	if ds.every <= 0 {
-		ds.every = defaultCheckpointEvery
-	}
 	ds.lastCkpt.Store(math.MinInt64)
 	return ds
 }
 
-// walSyncEvery maps Config.WALSync onto the WAL's sync policy: 0 and 1
-// sync after every tick append, N > 1 every N appends, negative leaves
-// flushing to the OS.
+// walSyncEvery maps the resolved Config.WALSync onto the WAL's sync
+// policy: N ≥ 1 syncs every N tick appends (1 is
+// durability.SyncPerTick), negative leaves flushing to the OS.
 func (e *Engine) walSyncEvery() int {
-	switch s := e.cfg.WALSync; {
-	case s < 0:
+	if e.cfg.WALSync < 0 {
 		return durability.SyncAsync
-	case s <= 1:
-		return durability.SyncPerTick
-	default:
-		return s
 	}
+	return e.cfg.WALSync
 }
 
 // durabilityFingerprint identifies the snapshot-compatible engine
@@ -135,8 +128,8 @@ func (e *Engine) walSyncEvery() int {
 func (e *Engine) durabilityFingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "caesar-snap-v1|mode=%s|sharing=%t|fusion=%t|partition=%s",
-		e.cfg.Mode, e.cfg.Sharing, e.cfg.Fusion, strings.Join(e.cfg.PartitionBy, ","))
-	o := e.cfg.Plan.Opts
+		e.cfg.mode(), e.cfg.Sharing, e.cfg.FusePatterns, strings.Join(e.cfg.PartitionBy, ","))
+	o := e.plan.Opts
 	// The trailing false fills the slot of a removed kernel-selection
 	// option, so snapshots written while it existed still restore.
 	fmt.Fprintf(&b, "|opts=%t,%t,%d,%t,false",

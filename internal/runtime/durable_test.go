@@ -50,13 +50,8 @@ func durableEngine(t testing.TB, shards int, dir string, every, walSync int) (*E
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		t.Fatal(err)
-	}
 	log := &outputLog{}
 	cfg := Config{
-		Plan:            p,
 		PartitionBy:     []string{"seg"},
 		Shards:          shards,
 		DurableDir:      dir,
@@ -67,11 +62,7 @@ func durableEngine(t testing.TB, shards int, dir string, every, walSync int) (*E
 	if shards == 1 {
 		cfg.Workers = 1
 	}
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, m, log
+	return newEngine(t, m, cfg), m, log
 }
 
 // TestCrashRecoveryDifferential is the headline durability proof: a
@@ -257,7 +248,7 @@ func TestCorruptSnapshotFallbackRecovery(t *testing.T) {
 }
 
 // TestDurableConfigValidation: a negative checkpoint interval is
-// rejected with durability on and stays inert with it off.
+// rejected, and an interval without a durable dir stays inert.
 func TestDurableConfigValidation(t *testing.T) {
 	m, err := model.CompileSource(trafficSrc)
 	if err != nil {
@@ -267,10 +258,10 @@ func TestDurableConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Plan: p, Workers: 1, DurableDir: t.TempDir(), CheckpointEvery: -1}); err == nil {
+	if _, err := New(p, Config{Workers: 1, DurableDir: t.TempDir(), CheckpointEvery: -1}); err == nil {
 		t.Error("negative checkpoint interval accepted")
 	}
-	if _, err := New(Config{Plan: p, Workers: 1, CheckpointEvery: 8}); err != nil {
+	if _, err := New(p, Config{Workers: 1, CheckpointEvery: 8}); err != nil {
 		t.Errorf("checkpoint interval without a durable dir rejected: %v", err)
 	}
 }
@@ -290,14 +281,7 @@ func TestTollDurabilityFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(Config{Plan: p, PartitionBy: linearroad.PartitionBy(), Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, m, Config{PartitionBy: linearroad.PartitionBy(), Shards: 1})
 	if got := eng.durabilityFingerprint(); got != want {
 		t.Errorf("durability fingerprint changed:\n got: %s\nwant: %s", got, want)
 	}
@@ -312,14 +296,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := New(Config{Plan: p, PartitionBy: []string{"seg"}, Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := newEngine(b, m, Config{PartitionBy: []string{"seg"}, Workers: 1})
 	if _, err := eng.RunBatches(newArenaTickSource(b, m, segs, ticks)); err != nil {
 		b.Fatal(err)
 	}
@@ -363,9 +340,9 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
-	cfg := Config{Plan: p, PartitionBy: []string{"seg"}, Workers: 1,
+	cfg := Config{PartitionBy: []string{"seg"}, Workers: 1,
 		DurableDir: dir, CheckpointEvery: 1 << 30, WALSync: -1}
-	seed, err := New(cfg)
+	seed, err := New(p, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -375,7 +352,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	var replayed uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := New(cfg)
+		eng, err := New(p, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

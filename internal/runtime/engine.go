@@ -36,142 +36,6 @@ import (
 	"github.com/caesar-cep/caesar/internal/telemetry"
 )
 
-// Mode selects the execution strategy.
-type Mode int
-
-const (
-	// ContextAware is the CAESAR strategy: the stream router feeds a
-	// query plan only while its context window holds; all other plans
-	// are suspended (§6.2).
-	ContextAware Mode = iota
-	// ContextIndependent is the state-of-the-art baseline (§7.3):
-	// every query runs on every event, and every context processing
-	// query privately re-derives the contexts it depends on.
-	ContextIndependent
-)
-
-func (m Mode) String() string {
-	if m == ContextAware {
-		return "context-aware"
-	}
-	return "context-independent"
-}
-
-// Config configures an Engine.
-type Config struct {
-	Plan *plan.Plan
-	Mode Mode
-	// Sharing enables context workload sharing (§5.3): equivalent
-	// queries from overlapping contexts execute as one instance.
-	// Context-aware mode only.
-	Sharing bool
-	// Fusion enables pattern fusion (the §5.3 MQO step): DERIVE
-	// queries with identical pattern, filters, horizon and context
-	// mask evaluate one shared pattern with multiple projection
-	// heads. Context-aware mode only.
-	Fusion bool
-	// PartitionBy names the attributes forming the stream partition
-	// key (e.g. xway, dir, seg). Events missing all key attributes
-	// fall into every partition's input? No — they land in partition
-	// "·", a dedicated control partition.
-	PartitionBy []string
-	// Workers is the worker pool size of the legacy single-router
-	// pipeline; 0 means 4. Ignored when the sharded runtime runs
-	// (Shards > 1): shards are the execution units then.
-	Workers int
-	// Shards selects the sharded multi-core runtime (DESIGN.md §3.6):
-	// N independent engine shards, each owning a disjoint set of
-	// stream partitions end to end, fed through lock-free SPSC rings.
-	// Shards 0 and 1 run the legacy pipeline (distributor + worker
-	// pool). The engine never sizes itself from GOMAXPROCS; callers
-	// that want one shard per core resolve that themselves.
-	Shards int
-	// Pacing, when positive, replays the stream in real time: one
-	// application time unit lasts Pacing of wall time. Zero feeds the
-	// stream as fast as possible, so maximal latency measures CPU
-	// backlog (the paper's win-ratio configuration).
-	Pacing time.Duration
-	// ReadAhead bounds the ingest read-ahead ring: how many decoded
-	// batches the decode goroutine may run ahead of dispatch. 0 means
-	// 4 (DESIGN.md §3.4).
-	ReadAhead int
-	// CollectOutputs retains all derived events in Stats.Outputs.
-	CollectOutputs bool
-	// DerivedChunkEvents sizes the per-execution-unit derived-event
-	// slab arena (DESIGN.md §3.8), in events; 0 means
-	// event.DefaultChunkEvents.
-	DerivedChunkEvents int
-	// OnOutput, when set, is invoked for every derived output event.
-	// On the legacy pipeline it is called concurrently from worker
-	// goroutines; on the sharded runtime (Shards > 1) it is called
-	// from a single merger goroutine in deterministic order — sorted
-	// by derivation tick, then shard, then emission order (the
-	// ordered merge layer, DESIGN.md §3.6). A consumer that buffers
-	// should flush in OnIdle: nothing else tells it that no output is
-	// about to follow.
-	//
-	// Derived events live in the execution unit's slab arena: an event
-	// handed to OnOutput is valid for the duration of the callback and
-	// until its tick falls behind the reclamation watermark, after
-	// which its slab is recycled. A consumer that retains events
-	// beyond that must copy them (event.Clone). Stats.Outputs is
-	// always safe: collected events are cloned to the heap at emit
-	// time.
-	OnOutput func(*event.Event)
-	// OnIdle, when set, is called by a goroutine that delivers OnOutput
-	// once it has delivered everything it holds and is about to wait for
-	// more: a legacy-pool worker whose queue is empty after a tick, or
-	// the sharded runtime's merger after a release with no wake-up
-	// pending (DESIGN.md §3.10). On the legacy pipeline it is called
-	// concurrently from worker goroutines.
-	OnIdle func()
-	// Telemetry, when set, registers the run's live metrics with the
-	// registry: per-worker transaction counters and latency
-	// histograms, per-context window activity, per-query operator
-	// counters and queue-depth gauges. Stats is derived from the same
-	// metric objects, so a live scrape and the end-of-run report
-	// agree. When nil, only the always-on counters run (plain atomic
-	// adds); per-query detail and per-transaction timing are skipped.
-	Telemetry *telemetry.Registry
-	// Tracer, when set, records one span per stream transaction and
-	// logs transactions slower than its threshold. Enabling the
-	// tracer also enables per-transaction timing.
-	Tracer *telemetry.Tracer
-	// Stages, when set, samples tick timelines end to end through the
-	// pipeline (decode, queue wait, route, ring wait, execute, merge
-	// hold-back) into per-stage latency histograms and the flight
-	// recorder behind /tracez (DESIGN.md §3.7). Sampling is 1-in-N
-	// (the tracer's rate); unsampled ticks pay one atomic add. When
-	// nil, no stage clocks are read at all.
-	Stages *telemetry.StageTracer
-	// Health, when set, receives the run's liveness/readiness probes
-	// (engine running, watermark advancing, execution units draining)
-	// behind /healthz. Probes are replaced per run, like registry
-	// metrics.
-	Health *telemetry.Health
-	// DurableDir, when non-empty, enables the durability subsystem
-	// (DESIGN.md §3.9): every tick's input batch is appended to a
-	// write-ahead log under the directory before dispatch, periodic
-	// tick-aligned snapshots of all partition state are written
-	// alongside, and Run recovers from the latest snapshot plus the
-	// WAL tail before consuming live input. Ticks already covered by
-	// recovery are dropped from the live source, so re-feeding the
-	// full input after a restart resumes exactly-once.
-	DurableDir string
-	// CheckpointEvery is the snapshot interval in dispatched ticks; 0
-	// means 512. Durability only.
-	CheckpointEvery int
-	// WALSync selects the WAL fsync policy: 0 or 1 sync after every
-	// tick append (a crash loses at most the tick being written), N > 1
-	// syncs every N appends, negative leaves flushing to the OS
-	// (fastest, weakest). Durability only.
-	WALSync int
-	// testCrashTick, when positive, aborts the run with a simulated
-	// crash at the boundary before the first tick at or beyond it
-	// (fault injection for the recovery tests).
-	testCrashTick int64
-}
-
 // Stats reports a run's measurements.
 type Stats struct {
 	Events      uint64
@@ -207,8 +71,8 @@ type Stats struct {
 	P95Latency time.Duration
 	P99Latency time.Duration
 	// TxnP50/TxnP99/TxnMax summarize per-transaction execution wall
-	// time. Populated only when Config.Telemetry or Config.Tracer is
-	// set (transaction timing is off otherwise).
+	// time. Populated only when Config.Telemetry is set (transaction
+	// timing is off otherwise).
 	TxnP50   time.Duration
 	TxnP99   time.Duration
 	TxnMax   time.Duration
@@ -234,12 +98,10 @@ type ContextStats struct {
 
 // Engine executes a plan over event streams.
 type Engine struct {
-	cfg    Config
+	cfg    Config // resolved
+	plan   *plan.Plan
 	groups []groupSpec
 	m      *model.Model
-	// nShards is the resolved shard count (see Config.Shards); > 1
-	// routes batch runs onto the sharded runtime.
-	nShards int
 	// queryNames labels the per-query metric families; indexed by
 	// execUnit.qmIdx (one slot per distinct query across groups).
 	queryNames []string
@@ -276,33 +138,23 @@ type groupSpec struct {
 	units []execUnit
 }
 
-// New validates the configuration and builds an engine.
-func New(cfg Config) (*Engine, error) {
-	if cfg.Plan == nil {
+// New resolves the configuration and builds an engine executing plan
+// p. The plan is normally built from cfg.PlanOptions(); a hand-built
+// plan (an ablation) works as long as a context-independent
+// configuration gets a non-pushed-down plan.
+func New(p *plan.Plan, cfg Config) (*Engine, error) {
+	if p == nil {
 		return nil, fmt.Errorf("runtime: nil plan")
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("runtime: negative worker count")
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("runtime: negative shard count")
+	if cfg.ContextIndependent && p.Opts.PushDown {
+		return nil, fmt.Errorf("runtime: context-independent mode requires a non-pushed-down plan (plan.Baseline())")
 	}
-	nShards := max(cfg.Shards, 1)
-	if cfg.Workers == 0 {
-		cfg.Workers = 4
-	}
-	if cfg.Mode == ContextIndependent && cfg.Plan.Opts.PushDown {
-		return nil, fmt.Errorf("runtime: context-independent mode requires a non-pushed-down plan (plan.NonOptimized())")
-	}
-	if cfg.Mode == ContextIndependent && (cfg.Sharing || cfg.Fusion) {
-		return nil, fmt.Errorf("runtime: workload sharing and fusion apply to context-aware mode only")
-	}
-	if cfg.DurableDir != "" && cfg.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("runtime: negative checkpoint interval")
-	}
-	e := &Engine{cfg: cfg, m: cfg.Plan.Model, nShards: nShards}
-	var err error
-	e.groups, err = buildGroups(cfg)
+	e := &Engine{cfg: cfg, plan: p, m: p.Model}
+	e.groups, err = buildGroups(p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -331,8 +183,7 @@ func (e *Engine) indexQueries() {
 	}
 }
 
-func buildGroups(cfg Config) ([]groupSpec, error) {
-	p := cfg.Plan
+func buildGroups(p *plan.Plan, cfg Config) ([]groupSpec, error) {
 	byID := make(map[int]*plan.QueryPlan, len(p.Queries))
 	var order []*model.Query
 	for _, qp := range p.Queries {
@@ -340,7 +191,7 @@ func buildGroups(cfg Config) ([]groupSpec, error) {
 		order = append(order, qp.Query)
 	}
 
-	if cfg.Mode == ContextAware {
+	if !cfg.ContextIndependent {
 		var shared []optimizer.SharedQuery
 		if cfg.Sharing {
 			shared = optimizer.ShareWorkload(order)
@@ -348,7 +199,7 @@ func buildGroups(cfg Config) ([]groupSpec, error) {
 			shared = optimizer.NonShared(order)
 		}
 		g := groupSpec{}
-		if cfg.Fusion {
+		if cfg.FusePatterns {
 			for _, f := range optimizer.FusePatterns(shared) {
 				u := execUnit{
 					qp:       byID[f.Leader.ID],

@@ -86,32 +86,36 @@ func (sb *streamBuilder) source() *event.SliceSource {
 	return event.NewSliceSource(sb.evs)
 }
 
-func buildEngine(t testing.TB, src string, mode Mode, sharing bool, workers int) (*Engine, *model.Model) {
+// newEngine builds the plan cfg's strategy selects and an engine
+// executing it.
+func newEngine(t testing.TB, m *model.Model, cfg Config) *Engine {
+	t.Helper()
+	p, err := plan.Build(m, cfg.PlanOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// buildEngine compiles src and runs it partitioned by segment,
+// context-independently when baseline is set.
+func buildEngine(t testing.TB, src string, baseline, sharing bool, workers int) (*Engine, *model.Model) {
 	t.Helper()
 	m, err := model.CompileSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := plan.Optimized()
-	if mode == ContextIndependent {
-		opts = plan.Baseline()
-	}
-	p, err := plan.Build(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(Config{
-		Plan:           p,
-		Mode:           mode,
-		Sharing:        sharing,
-		PartitionBy:    []string{"seg"},
-		Workers:        workers,
-		CollectOutputs: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, m
+	return newEngine(t, m, Config{
+		ContextIndependent: baseline,
+		Sharing:            sharing,
+		PartitionBy:        []string{"seg"},
+		Workers:            workers,
+		CollectOutputs:     true,
+	}), m
 }
 
 // trafficStream builds the canonical test stream: segment 1 becomes
@@ -147,7 +151,7 @@ func outputsByType(st *Stats, typ string) []*event.Event {
 }
 
 func TestContextAwareTrafficEndToEnd(t *testing.T) {
-	eng, m := buildEngine(t, trafficSrc, ContextAware, false, 2)
+	eng, m := buildEngine(t, trafficSrc, false, false, 2)
 	st, err := eng.Run(trafficStream(t, m))
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +190,7 @@ func TestContextAwareTrafficEndToEnd(t *testing.T) {
 }
 
 func TestPartitionIsolation(t *testing.T) {
-	eng, m := buildEngine(t, trafficSrc, ContextAware, false, 3)
+	eng, m := buildEngine(t, trafficSrc, false, false, 3)
 	sb := &streamBuilder{t: t, m: m}
 	sb.add("Trigger", 1, 1, 1)                 // seg 1 congested
 	sb.add("PositionReport", 31, 10, 1, 0, 31) // seg 1: toll
@@ -208,7 +212,7 @@ func TestHistoryDiscardedOnWindowClose(t *testing.T) {
 	// The NewCar negation buffer must be cleared when congestion
 	// closes: car 10's report at t=31 (inside window 1) must not
 	// suppress its report at t=61 (inside window 2).
-	eng, m := buildEngine(t, trafficSrc, ContextAware, false, 1)
+	eng, m := buildEngine(t, trafficSrc, false, false, 1)
 	sb := &streamBuilder{t: t, m: m}
 	sb.add("Trigger", 1, 1, 1)
 	sb.add("PositionReport", 31, 10, 1, 0, 31) // toll (new in window 1)
@@ -257,12 +261,12 @@ func sortedRenderings(st *Stats) []string {
 }
 
 func TestContextIndependentEquivalence(t *testing.T) {
-	ca, mca := buildEngine(t, trafficSrc, ContextAware, false, 2)
+	ca, mca := buildEngine(t, trafficSrc, false, false, 2)
 	stCA, err := ca.Run(equivalentStream(t, mca))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, mci := buildEngine(t, trafficSrc, ContextIndependent, false, 2)
+	ci, mci := buildEngine(t, trafficSrc, true, false, 2)
 	stCI, err := ci.Run(equivalentStream(t, mci))
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +291,7 @@ func TestContextIndependentEquivalence(t *testing.T) {
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	var runs [][]string
 	for _, workers := range []int{1, 4} {
-		eng, m := buildEngine(t, trafficSrc, ContextAware, false, workers)
+		eng, m := buildEngine(t, trafficSrc, false, false, workers)
 		st, err := eng.Run(trafficStream(t, m))
 		if err != nil {
 			t.Fatal(err)
@@ -352,12 +356,12 @@ func TestWorkloadSharingOverlappingWindows(t *testing.T) {
 		return sb.source()
 	}
 
-	shared, m1 := buildEngine(t, sharingSrc, ContextAware, true, 1)
+	shared, m1 := buildEngine(t, sharingSrc, false, true, 1)
 	stS, err := shared.Run(mkStream(m1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	non, m2 := buildEngine(t, sharingSrc, ContextAware, false, 1)
+	non, m2 := buildEngine(t, sharingSrc, false, false, 1)
 	stN, err := non.Run(mkStream(m2))
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +404,7 @@ func TestWorkloadSharingOverlappingWindows(t *testing.T) {
 }
 
 func TestPacingStretchesWallTime(t *testing.T) {
-	eng, m := buildEngine(t, trafficSrc, ContextAware, false, 1)
+	eng, m := buildEngine(t, trafficSrc, false, false, 1)
 	eng.cfg.Pacing = time.Millisecond
 	st, err := eng.Run(trafficStream(t, m))
 	if err != nil {
@@ -413,7 +417,7 @@ func TestPacingStretchesWallTime(t *testing.T) {
 }
 
 func TestOnOutputCallback(t *testing.T) {
-	eng, m := buildEngine(t, trafficSrc, ContextAware, false, 2)
+	eng, m := buildEngine(t, trafficSrc, false, false, 2)
 	var n atomic.Int64
 	eng.cfg.OnOutput = func(*event.Event) { n.Add(1) }
 	st, err := eng.Run(trafficStream(t, m))
@@ -433,26 +437,28 @@ func TestConfigValidation(t *testing.T) {
 	pOpt, _ := plan.Build(m, plan.Optimized())
 	pNon, _ := plan.Build(m, plan.NonOptimized())
 
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(nil, Config{}); err == nil {
 		t.Error("nil plan accepted")
 	}
-	if _, err := New(Config{Plan: pOpt, Workers: -1}); err == nil {
+	if _, err := New(pOpt, Config{Workers: -1}); err == nil {
 		t.Error("negative workers accepted")
 	}
-	if _, err := New(Config{Plan: pOpt, Mode: ContextIndependent}); err == nil {
+	if _, err := New(pOpt, Config{ContextIndependent: true}); err == nil {
 		t.Error("CI over pushed-down plan accepted")
 	}
-	if _, err := New(Config{Plan: pNon, Mode: ContextIndependent, Sharing: true}); err == nil {
+	if _, err := New(pNon, Config{ContextIndependent: true, Sharing: true}); err == nil {
 		t.Error("CI with sharing accepted")
 	}
-	if _, err := New(Config{Plan: pNon, Mode: ContextIndependent}); err != nil {
+	if _, err := New(pNon, Config{ContextIndependent: true}); err != nil {
 		t.Errorf("valid CI config rejected: %v", err)
 	}
 }
 
+// TestModeString pins the strategy names the durability fingerprint
+// and the /buildz summary print.
 func TestModeString(t *testing.T) {
-	if ContextAware.String() != "context-aware" || ContextIndependent.String() != "context-independent" {
-		t.Error("Mode strings broken")
+	if (Config{}).mode() != "context-aware" || (Config{ContextIndependent: true}).mode() != "context-independent" {
+		t.Error("mode strings broken")
 	}
 }
 
@@ -470,14 +476,7 @@ PATTERN Ping p
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(Config{Plan: p, PartitionBy: []string{"seg"}, Workers: 1, CollectOutputs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, m, Config{PartitionBy: []string{"seg"}, Workers: 1, CollectOutputs: true})
 	sb := &streamBuilder{t: t, m: m}
 	sb.add("Ping", 1, 7)
 	st, err := eng.Run(sb.source())
@@ -490,7 +489,7 @@ PATTERN Ping p
 }
 
 func TestLatencyObserved(t *testing.T) {
-	eng, m := buildEngine(t, trafficSrc, ContextAware, false, 2)
+	eng, m := buildEngine(t, trafficSrc, false, false, 2)
 	st, err := eng.Run(trafficStream(t, m))
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +516,7 @@ func (r *rawSource) Next() *event.Event {
 }
 
 func TestOutOfOrderEventRejected(t *testing.T) {
-	eng, m := buildEngine(t, trafficSrc, ContextAware, false, 1)
+	eng, m := buildEngine(t, trafficSrc, false, false, 1)
 	pr, _ := m.Registry.Lookup("PositionReport")
 	mk := func(ts event.Time) *event.Event {
 		return event.MustNew(pr, ts, event.Int64(1), event.Int64(1), event.Int64(0), event.Int64(int64(ts)))
@@ -542,7 +541,7 @@ func (e *errSource) Err() error { return errSentinel }
 var errSentinel = fmt.Errorf("decode failed")
 
 func TestSourceErrorSurfaced(t *testing.T) {
-	eng, _ := buildEngine(t, trafficSrc, ContextAware, false, 1)
+	eng, _ := buildEngine(t, trafficSrc, false, false, 1)
 	if _, err := eng.Run(&errSource{}); err == nil || !strings.Contains(err.Error(), "decode failed") {
 		t.Errorf("source error lost: %v", err)
 	}
@@ -587,20 +586,12 @@ func runFusion(t *testing.T, fusion bool) *Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(Config{
-		Plan:           p,
-		Fusion:         fusion,
+	eng := newEngine(t, m, Config{
+		FusePatterns:   fusion,
 		PartitionBy:    []string{"seg"},
 		Workers:        1,
 		CollectOutputs: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sb := &streamBuilder{t: t, m: m}
 	sb.add("P", 1, 200, 1) // switch to busy
 	for ts := event.Time(2); ts < 40; ts++ {
@@ -638,7 +629,7 @@ func TestFusionConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := plan.Build(m, plan.Baseline())
-	if _, err := New(Config{Plan: p, Mode: ContextIndependent, Fusion: true}); err == nil {
+	if _, err := New(p, Config{ContextIndependent: true, FusePatterns: true}); err == nil {
 		t.Error("CI with fusion accepted")
 	}
 }

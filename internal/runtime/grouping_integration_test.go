@@ -6,7 +6,6 @@ import (
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/model"
 	"github.com/caesar-cep/caesar/internal/optimizer"
-	"github.com/caesar-cep/caesar/internal/plan"
 )
 
 // fig7Src is the paper's Fig. 7 scenario: two overlapping windows
@@ -114,20 +113,12 @@ func TestGroupingMatchesRuntimeActivation(t *testing.T) {
 
 	// Runtime view: X advances 1 per second; events inside each
 	// grouped window must derive exactly the group's result types.
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(Config{
-		Plan:           p,
+	eng := newEngine(t, m, Config{
 		Sharing:        true,
 		PartitionBy:    []string{"seg"},
 		Workers:        1,
 		CollectOutputs: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sb := &streamBuilder{t: t, m: m}
 	// v mirrors x so each output identifies its trigger event.
 	for x := int64(0); x <= 50; x++ {

@@ -31,7 +31,7 @@ import (
 	"github.com/caesar-cep/caesar/internal/event"
 )
 
-// defaultReadAhead is the ring capacity when Config.ReadAhead is 0:
+// defaultReadAhead is the read-ahead ring capacity in batches:
 // enough for decode to absorb dispatch jitter, small enough that at
 // most a few thousand events are in flight between the stages.
 const defaultReadAhead = 4
@@ -51,8 +51,8 @@ type batchRing struct {
 	all []*event.Batch
 }
 
-func newBatchRing(n int) *batchRing {
-	r := &batchRing{all: make([]*event.Batch, n)}
+func newBatchRing() *batchRing {
+	r := &batchRing{all: make([]*event.Batch, defaultReadAhead)}
 	for i := range r.all {
 		r.all[i] = &event.Batch{}
 	}
@@ -144,7 +144,7 @@ type run struct {
 func (e *Engine) newRun() *run {
 	r := e.legacyRun
 	if r == nil {
-		r = &run{e: e, rm: newRunMetrics(e, e.cfg.Workers), ring: newBatchRing(e.readAhead())}
+		r = &run{e: e, rm: newRunMetrics(e, e.cfg.Workers), ring: newBatchRing()}
 		ring := r.ring
 		r.rm.ringDepth = func() int64 { return int64(len(ring.data)) }
 		r.workers = make([]*worker, e.cfg.Workers)
@@ -336,7 +336,7 @@ func startDecode(ring *batchRing, src event.BatchSource, rec event.Reclaimer, wa
 // on the sharded runtime (shard.go); otherwise on the legacy
 // distributor + worker pool.
 func (e *Engine) RunBatches(src event.BatchSource) (*Stats, error) {
-	if e.nShards > 1 {
+	if e.cfg.Shards > 1 {
 		return e.runSharded(src)
 	}
 	r := e.newRun()
@@ -444,14 +444,6 @@ func (r *run) publishWatermark(slack int64) {
 	}
 }
 
-// readAhead is the resolved read-ahead ring capacity (Config.ReadAhead).
-func (e *Engine) readAhead() int {
-	if e.cfg.ReadAhead <= 0 {
-		return defaultReadAhead
-	}
-	return e.cfg.ReadAhead
-}
-
 // reclaimSlack is the retention horizon of downstream state in
 // application time: partial matches live up to one pattern horizon,
 // negation buffers and pending matches up to two (algebra/pattern.go
@@ -460,7 +452,7 @@ func (e *Engine) readAhead() int {
 // One extra unit makes the reclamation bound strict.
 func (e *Engine) reclaimSlack() int64 {
 	var h int64
-	for _, qp := range e.cfg.Plan.Queries {
+	for _, qp := range e.plan.Queries {
 		if qp.Horizon > h {
 			h = qp.Horizon
 		}

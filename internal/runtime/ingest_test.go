@@ -64,16 +64,9 @@ func (s *arenaTickSource) NextBatch(b *event.Batch) bool {
 
 func (s *arenaTickSource) ReclaimBefore(t event.Time) int { return s.arena.ReclaimBefore(t) }
 
-func ingestEngine(t testing.TB, workers int, readAhead int) (*Engine, *model.Model) {
-	t.Helper()
-	eng, m := buildEngine(t, trafficSrc, ContextAware, false, workers)
-	eng.cfg.ReadAhead = readAhead
-	return eng, m
-}
-
 // TestPipelinedIngestMatchesSync is the runtime-level reclamation
-// differential: the arena source fed directly (decode goroutine, a
-// two-batch read-ahead ring, watermark-driven slab reclamation) must
+// differential: the arena source fed directly (decode goroutine, the
+// read-ahead ring, watermark-driven slab reclamation) must
 // produce exactly the outputs of the same stream fed event by event
 // through the Batcher adapter, which hides the source's Reclaimer so
 // no slab is ever recycled. Run under -race this also exercises the
@@ -81,12 +74,12 @@ func ingestEngine(t testing.TB, workers int, readAhead int) (*Engine, *model.Mod
 func TestPipelinedIngestMatchesSync(t *testing.T) {
 	const segs, ticks = 4, 400
 
-	ref, m1 := ingestEngine(t, 3, 0)
+	ref, m1 := buildEngine(t, trafficSrc, false, false, 3)
 	stRef, err := ref.Run(event.PerEvent(newArenaTickSource(t, m1, segs, ticks)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	piped, m2 := ingestEngine(t, 3, 2)
+	piped, m2 := buildEngine(t, trafficSrc, false, false, 3)
 	stPiped, err := piped.RunBatches(newArenaTickSource(t, m2, segs, ticks))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +135,7 @@ func (s *splitTickSource) NextBatch(b *event.Batch) bool {
 }
 
 func TestBatchSplitTickRejected(t *testing.T) {
-	eng, m := ingestEngine(t, 2, 0)
+	eng, m := buildEngine(t, trafficSrc, false, false, 2)
 	src := &splitTickSource{src: newArenaTickSource(t, m, 4, 20)}
 	if _, err := eng.RunBatches(src); err == nil || !strings.Contains(err.Error(), "split tick") {
 		t.Errorf("split tick accepted: %v", err)
@@ -167,7 +160,7 @@ func (s *backwardsSource) NextBatch(b *event.Batch) bool {
 }
 
 func TestBatchOutOfOrderRejected(t *testing.T) {
-	eng, m := ingestEngine(t, 2, 0)
+	eng, m := buildEngine(t, trafficSrc, false, false, 2)
 	src := &backwardsSource{src: newArenaTickSource(t, m, 4, 20)}
 	if _, err := eng.RunBatches(src); err == nil || !strings.Contains(err.Error(), "out-of-order") {
 		t.Errorf("disorder accepted: %v", err)
@@ -180,7 +173,7 @@ func TestBatchOutOfOrderRejected(t *testing.T) {
 func TestRunRoutesBatchSources(t *testing.T) {
 	var want []string
 	for i, mode := range []string{"batcher", "batch"} {
-		eng, m := ingestEngine(t, 2, 0)
+		eng, m := buildEngine(t, trafficSrc, false, false, 2)
 		var (
 			st  *Stats
 			err error

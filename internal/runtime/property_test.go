@@ -8,7 +8,6 @@ import (
 
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/model"
-	"github.com/caesar-cep/caesar/internal/plan"
 )
 
 // propertySrc uses only single-event patterns, so context-aware and
@@ -74,31 +73,19 @@ func randomControlStream(t testing.TB, m *model.Model, rng *rand.Rand, n int) *e
 
 // runProperty compiles a fresh model, derives the stream from seed,
 // and runs it under the given strategy.
-func runProperty(t testing.TB, seed int64, n int, mode Mode, sharing bool, workers int) *Stats {
+func runProperty(t testing.TB, seed int64, n int, baseline, sharing bool, workers int) *Stats {
 	t.Helper()
 	m, err := model.CompileSource(propertySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := plan.Optimized()
-	if mode == ContextIndependent {
-		opts = plan.Baseline()
-	}
-	p, err := plan.Build(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(Config{
-		Plan:           p,
-		Mode:           mode,
-		Sharing:        sharing,
-		PartitionBy:    []string{"seg"},
-		Workers:        workers,
-		CollectOutputs: true,
+	eng := newEngine(t, m, Config{
+		ContextIndependent: baseline,
+		Sharing:            sharing,
+		PartitionBy:        []string{"seg"},
+		Workers:            workers,
+		CollectOutputs:     true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	src := randomControlStream(t, m, rand.New(rand.NewSource(seed)), n)
 	st, err := eng.Run(src)
 	if err != nil {
@@ -121,8 +108,8 @@ func renderings(st *Stats) string {
 // exactly the same complex events for arbitrary streams.
 func TestPropertyCAEqualsCI(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
-		ca := runProperty(t, seed, 120, ContextAware, false, 3)
-		ci := runProperty(t, seed, 120, ContextIndependent, false, 3)
+		ca := runProperty(t, seed, 120, false, false, 3)
+		ci := runProperty(t, seed, 120, true, false, 3)
 		if renderings(ca) != renderings(ci) {
 			t.Fatalf("seed %d: CA and CI outputs differ\nCA: %s\nCI: %s",
 				seed, renderings(ca), renderings(ci))
@@ -138,8 +125,8 @@ func TestPropertyCAEqualsCI(t *testing.T) {
 // independent of the worker pool size.
 func TestPropertyWorkerCountInvariance(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
-		one := runProperty(t, seed, 150, ContextAware, false, 1)
-		many := runProperty(t, seed, 150, ContextAware, false, 6)
+		one := runProperty(t, seed, 150, false, false, 1)
+		many := runProperty(t, seed, 150, false, false, 6)
 		if renderings(one) != renderings(many) {
 			t.Fatalf("seed %d: outputs differ across worker counts", seed)
 		}
@@ -150,8 +137,8 @@ func TestPropertyWorkerCountInvariance(t *testing.T) {
 // model, sharing must not change outputs at all.
 func TestPropertySharingInvariance(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
-		plain := runProperty(t, seed, 120, ContextAware, false, 2)
-		shared := runProperty(t, seed, 120, ContextAware, true, 2)
+		plain := runProperty(t, seed, 120, false, false, 2)
+		shared := runProperty(t, seed, 120, false, true, 2)
 		if renderings(plain) != renderings(shared) {
 			t.Fatalf("seed %d: sharing changed outputs of a duplicate-free model", seed)
 		}
@@ -167,8 +154,8 @@ func TestPropertyDispatchOrderEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		var base string
 		for _, workers := range []int{1, 2, 5} {
-			plain := runProperty(t, seed, 150, ContextAware, false, workers)
-			shared := runProperty(t, seed, 150, ContextAware, true, workers)
+			plain := runProperty(t, seed, 150, false, false, workers)
+			shared := runProperty(t, seed, 150, false, true, workers)
 			if renderings(plain) != renderings(shared) {
 				t.Fatalf("seed %d workers %d: grouped and ungrouped outputs diverged",
 					seed, workers)
@@ -185,8 +172,8 @@ func TestPropertyDispatchOrderEquivalence(t *testing.T) {
 // TestPropertyRerunDeterminism: running the same engine twice yields
 // identical outputs (fresh partition state per run).
 func TestPropertyRerunDeterminism(t *testing.T) {
-	a := runProperty(t, 7, 200, ContextAware, false, 4)
-	b := runProperty(t, 7, 200, ContextAware, false, 4)
+	a := runProperty(t, 7, 200, false, false, 4)
+	b := runProperty(t, 7, 200, false, false, 4)
 	if renderings(a) != renderings(b) {
 		t.Fatal("same seed, different outputs")
 	}

@@ -235,12 +235,9 @@ func (s *engineShard) execTick(ts event.Time, evs []*event.Event, sp *telemetry.
 		}
 		w.wm.txns.Inc()
 		if w.timed {
-			w.execsInTxn = 0
 			start := time.Now()
 			ps.exec(w, ts, p.batch.evs)
-			d := time.Since(start)
-			w.wm.txnLatency.ObserveDuration(d)
-			w.rm.tracer.Record(d, p.key, int64(ts), w.execsInTxn, len(p.batch.evs), sp)
+			w.wm.txnLatency.ObserveDuration(time.Since(start))
 		} else {
 			ps.exec(w, ts, p.batch.evs)
 		}
@@ -540,12 +537,12 @@ func (r *shardedRun) reset() {
 }
 
 // runSharded executes the engine over a batch source on the sharded
-// runtime. Callers guarantee e.nShards > 1 and the pipelined path.
+// runtime. Callers guarantee cfg.Shards > 1 and the pipelined path.
 // The run scaffolding is cached on the Engine and reused by later Run
 // calls, so steady-state re-runs allocate only per-run incidentals
 // (goroutines, the read-ahead ring, registration closures).
 func (e *Engine) runSharded(src event.BatchSource) (*Stats, error) {
-	n := e.nShards
+	n := e.cfg.Shards
 	r := e.shardedCached
 	if r == nil {
 		r = newShardedRun(e, n)
@@ -593,7 +590,7 @@ func (e *Engine) runSharded(src event.BatchSource) (*Stats, error) {
 	}
 
 	if r.ring == nil {
-		r.ring = newBatchRing(e.readAhead())
+		r.ring = newBatchRing()
 	} else {
 		r.ring.arm()
 	}

@@ -61,7 +61,7 @@ func BenchmarkEngineShardedTraced(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr := telemetry.NewStageTracer(1, 256)
-	eng, err := New(Config{Plan: p, PartitionBy: []string{"seg"}, Shards: nShards, Stages: tr})
+	eng, err := New(p, Config{PartitionBy: []string{"seg"}, Shards: nShards, Stages: tr})
 	if err != nil {
 		b.Fatal(err)
 	}

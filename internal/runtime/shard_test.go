@@ -137,20 +137,11 @@ func shardEngine(t testing.TB, src string, shards int) (*Engine, *model.Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(Config{
-		Plan:           p,
+	return newEngine(t, m, Config{
 		PartitionBy:    []string{"seg"},
 		Shards:         shards,
 		CollectOutputs: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, m
+	}), m
 }
 
 // --- sharded differential -------------------------------------------
@@ -254,18 +245,18 @@ func TestShardConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Plan: p, Shards: -1}); err == nil {
+	if _, err := New(p, Config{Shards: -1}); err == nil {
 		t.Error("negative shard count accepted")
 	}
 	// Shards=0 is one shard whatever GOMAXPROCS is, with or without an
 	// explicit worker pool size.
-	for _, cfg := range []Config{{Plan: p}, {Plan: p, Workers: 2}} {
-		eng, err := New(cfg)
+	for _, cfg := range []Config{{}, {Workers: 2}} {
+		eng, err := New(p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eng.nShards != 1 {
-			t.Errorf("Shards=0 Workers=%d resolved to %d shards, want 1", cfg.Workers, eng.nShards)
+		if eng.cfg.Shards != 1 {
+			t.Errorf("Shards=0 Workers=%d resolved to %d shards, want 1", cfg.Workers, eng.cfg.Shards)
 		}
 	}
 }

@@ -46,12 +46,11 @@ type runMetrics struct {
 	workers []*workerMetrics
 
 	// query is indexed by execUnit.qmIdx: per-operator counters.
-	// Updated only when detail is set (a registry or tracer is
-	// attached) — the plain Stats path never pays for them.
+	// Updated only when detail is set (a registry is attached) — the
+	// plain Stats path never pays for them.
 	query  []queryMetrics
 	detail bool
 
-	tracer *telemetry.Tracer
 	// stages is the stage-span tracer (Config.Stages); nil disables
 	// all stage clock reads. Shared with the distributor / router.
 	stages *telemetry.StageTracer
@@ -111,8 +110,7 @@ func newRunMetrics(e *Engine, nWorkers int) *runMetrics {
 		ctx:     make([]ctxMetrics, len(e.m.Contexts)),
 		workers: make([]*workerMetrics, nWorkers),
 		query:   make([]queryMetrics, len(e.queryNames)),
-		detail:  e.cfg.Telemetry != nil || e.cfg.Tracer != nil,
-		tracer:  e.cfg.Tracer,
+		detail:  e.cfg.Telemetry != nil,
 		stages:  e.cfg.Stages,
 	}
 	for i := range rm.workers {
@@ -226,10 +224,6 @@ func (rm *runMetrics) register(reg *telemetry.Registry, e *Engine, workers []*wo
 		reg.Register("caesar_query_pending", "matches awaiting a negation deadline", &qm.pending, lbl)
 		reg.Register("caesar_query_run_nodes", "shared automaton run nodes retained", &qm.runNodes, lbl)
 		reg.Register("caesar_query_pred_entries", "predecessor-set entries across run nodes", &qm.predEntries, lbl)
-	}
-	if rm.tracer != nil {
-		reg.Register("caesar_txn_spans_total", "transaction spans recorded", &rm.tracer.Spans)
-		reg.Register("caesar_slow_txns_total", "transactions at or above the slow threshold", &rm.tracer.Slow)
 	}
 	rm.stages.RegisterOn(reg)
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/caesar-cep/caesar/internal/model"
-	"github.com/caesar-cep/caesar/internal/plan"
 	"github.com/caesar-cep/caesar/internal/telemetry"
 )
 
@@ -40,23 +39,12 @@ func TestTelemetryMatchesStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := plan.Build(m, plan.Optimized())
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := telemetry.NewRegistry()
-	var traceLog strings.Builder
-	tracer := telemetry.NewTracer(time.Hour, &traceLog)
-	eng, err := New(Config{
-		Plan:        p,
+	eng := newEngine(t, m, Config{
 		PartitionBy: []string{"seg"},
 		Workers:     2,
 		Telemetry:   reg,
-		Tracer:      tracer,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	st, err := eng.Run(trafficStream(t, m))
 	if err != nil {
 		t.Fatal(err)
@@ -78,14 +66,16 @@ func TestTelemetryMatchesStats(t *testing.T) {
 		t.Errorf("partitions: scrape %v, stats %d", got, st.Partitions)
 	}
 
-	// Per-worker counters sum to the run totals.
-	var txns, skips float64
+	// Per-worker counters sum to the run totals; with a registry
+	// attached every transaction is timed.
+	var txns, timed, skips float64
 	for w := 0; w < 2; w++ {
 		txns += metricValue(t, body, fmt.Sprintf(`caesar_worker_txns_total{worker="%d"}`, w))
+		timed += metricValue(t, body, fmt.Sprintf(`caesar_txn_latency_ns_count{worker="%d"}`, w))
 		skips += metricValue(t, body, fmt.Sprintf(`caesar_worker_suspended_skips_total{worker="%d"}`, w))
 	}
-	if txns != float64(st.Txns) {
-		t.Errorf("txns: scrape %v, stats %d", txns, st.Txns)
+	if txns != float64(st.Txns) || timed != float64(st.Txns) {
+		t.Errorf("txns: scrape %v (timed %v), stats %d", txns, timed, st.Txns)
 	}
 	if skips != float64(st.SuspendedSkips) {
 		t.Errorf("suspended skips: scrape %v, stats %d", skips, st.SuspendedSkips)
@@ -124,14 +114,6 @@ func TestTelemetryMatchesStats(t *testing.T) {
 		t.Errorf("latency samples: scrape %v, outputs %d", got, st.OutputCount)
 	}
 
-	// The tracer saw every transaction; nothing was slow enough for
-	// the 1h threshold to log.
-	if got := metricValue(t, body, "caesar_txn_spans_total"); got != float64(st.Txns) {
-		t.Errorf("spans: scrape %v, txns %d", got, st.Txns)
-	}
-	if traceLog.Len() != 0 {
-		t.Errorf("unexpected slow-txn log: %s", traceLog.String())
-	}
 	if st.TxnMax <= 0 || st.TxnP99 <= 0 {
 		t.Errorf("txn timing not populated: p99=%v max=%v", st.TxnP99, st.TxnMax)
 	}

@@ -25,8 +25,7 @@ func traceEngine(t testing.TB, shards int) (*Engine, *model.Model, *telemetry.St
 	}
 	tr := telemetry.NewStageTracer(1, 64)
 	h := telemetry.NewHealth()
-	eng, err := New(Config{
-		Plan:        p,
+	eng, err := New(p, Config{
 		PartitionBy: []string{"seg"},
 		Shards:      shards,
 		Workers:     2,
@@ -139,8 +138,7 @@ func TestStageTracingSampledSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(tr *telemetry.StageTracer) *Stats {
-		eng, err := New(Config{
-			Plan:           p,
+		eng, err := New(p, Config{
 			PartitionBy:    []string{"seg"},
 			Shards:         2,
 			Stages:         tr,

@@ -32,14 +32,11 @@ type worker struct {
 
 	// rm is the run's metric set; wm the worker's own slice of it
 	// (single-writer, see runMetrics). timed enables per-transaction
-	// wall timing — on only when a registry or tracer is attached, so
-	// the plain path performs no extra clock reads.
+	// wall timing — on only when a registry is attached, so the
+	// plain path performs no extra clock reads.
 	rm    *runMetrics
 	wm    *workerMetrics
 	timed bool
-	// execsInTxn counts plan executions within the current
-	// transaction for the tracer's slow-transaction log line.
-	execsInTxn int
 
 	// completed publishes the timestamp of the last fully processed
 	// transaction message; the ingest watermark (ingest.go) reads it
@@ -195,12 +192,9 @@ func (w *worker) loop() {
 			w.wm.txns.Inc()
 			nEvs += len(txn.buf.evs)
 			if w.timed {
-				w.execsInTxn = 0
 				start := time.Now()
 				ps.exec(w, msg.ts, txn.buf.evs)
-				d := time.Since(start)
-				w.wm.txnLatency.ObserveDuration(d)
-				w.rm.tracer.Record(d, txn.part.key, int64(msg.ts), w.execsInTxn, len(txn.buf.evs), sp)
+				w.wm.txnLatency.ObserveDuration(time.Since(start))
 			} else {
 				ps.exec(w, msg.ts, txn.buf.evs)
 			}
@@ -347,7 +341,6 @@ func (g *execGroup) exec(w *worker, now event.Time, batch []*event.Event) {
 			continue
 		}
 		w.wm.instanceExecs.Inc()
-		w.execsInTxn++
 		w.wm.eventsFed.Add(uint64(len(pool)))
 		derived := g.derived[:0]
 		derived, trans = is.inst.Exec(now, pool, w.arena, derived, trans)
@@ -416,8 +409,8 @@ func (g *execGroup) exec(w *worker, now event.Time, batch []*event.Event) {
 }
 
 // publishDetail pushes the instance's pattern-operator deltas into
-// the run's per-query metrics. Detail mode only (a registry or
-// tracer is attached); the increments are allocation-free atomics.
+// the run's per-query metrics. Detail mode only (a registry is
+// attached); the increments are allocation-free atomics.
 func (is *instanceState) publishDetail(rm *runMetrics) {
 	qm := &rm.query[is.qmIdx]
 	qm.execs.Inc()

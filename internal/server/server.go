@@ -57,10 +57,12 @@ import (
 type Config struct {
 	// Model is the compiled CAESAR model shared by all sessions.
 	Model *model.Model
-	// Engine is the per-session engine configuration. CollectOutputs,
-	// OnOutput and OnIdle are managed by the server and must be unset.
-	// When Engine.Telemetry is nil the server creates its own registry;
-	// the effective registry is available via Registry/AdminHandler.
+	// Engine is the per-session engine configuration, resolved once by
+	// New (the /buildz summary shows the resolved values).
+	// CollectOutputs, OnOutput and OnIdle are managed by the server and
+	// must be unset. When Engine.Telemetry is nil the server creates
+	// its own registry; the effective registry is available via
+	// Registry/AdminHandler.
 	Engine core.Config
 }
 
@@ -78,13 +80,17 @@ type Server struct {
 	sessions int
 }
 
-// New validates the configuration.
+// New validates and resolves the configuration.
 func New(cfg Config) (*Server, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("server: nil model")
 	}
 	if cfg.Engine.CollectOutputs || cfg.Engine.OnOutput != nil || cfg.Engine.OnIdle != nil {
 		return nil, fmt.Errorf("server: CollectOutputs/OnOutput/OnIdle are managed per session")
+	}
+	var err error
+	if cfg.Engine, err = cfg.Engine.Resolve(); err != nil {
+		return nil, err
 	}
 	if cfg.Engine.Telemetry == nil {
 		cfg.Engine.Telemetry = telemetry.NewRegistry()

@@ -78,9 +78,9 @@ func TestHistogramNegativeClamp(t *testing.T) {
 	}
 }
 
-// TestHistogramSumSaturates is the LatencyTracker.Mean overflow
-// regression test: very long runs must saturate the sum instead of
-// wrapping into negative means.
+// TestHistogramSumSaturates is the mean-latency overflow regression
+// test: very long runs must saturate the sum instead of wrapping into
+// negative means.
 func TestHistogramSumSaturates(t *testing.T) {
 	var h Histogram
 	h.Observe(math.MaxInt64)

@@ -183,25 +183,6 @@ func (s *Span) Finish() {
 	t.release(s)
 }
 
-// appendStages renders " st=dur" pairs of the stages observed so far
-// — appended to slow-transaction log lines. Only called on the slow
-// path, where formatting cost is acceptable.
-func (s *Span) appendStages(b []byte) []byte {
-	if s == nil {
-		return b
-	}
-	for st := Stage(0); st < NumStages; st++ {
-		if s.stamped&(1<<st) == 0 {
-			continue
-		}
-		b = append(b, ' ')
-		b = append(b, st.String()...)
-		b = append(b, '=')
-		b = append(b, time.Duration(s.durs[st]).Round(time.Microsecond).String()...)
-	}
-	return b
-}
-
 // TickTimeline is one completed span, copied into the flight
 // recorder: the per-stage durations plus the tick's shape.
 type TickTimeline struct {

@@ -110,9 +110,6 @@ func TestNilSpanNoops(t *testing.T) {
 	if sp.Tick() != 0 {
 		t.Error("nil span tick")
 	}
-	if b := sp.appendStages(nil); len(b) != 0 {
-		t.Errorf("nil span stages = %q", b)
-	}
 }
 
 func TestRecorderWraparound(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package telemetry is the engine's observability core: a lock-free,
 // zero-allocation-on-hot-path metrics registry (atomic counters,
 // gauges and fixed-bucket log-scale histograms with quantile
-// extraction), a lightweight stream-transaction tracer, and text
+// extraction), the stage tracer behind /tracez (span.go), and text
 // exposition in Prometheus and JSON formats.
 //
 // # Design

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestRegistryExposition(t *testing.T) {
@@ -84,39 +83,6 @@ func TestNilRegistryRegister(t *testing.T) {
 	var r *Registry
 	var c Counter
 	r.Register("x", "", &c) // must not panic
-}
-
-func TestTracer(t *testing.T) {
-	var b strings.Builder
-	tr := NewTracer(time.Millisecond, &b)
-	tr.Record(100*time.Microsecond, "p1", 7, 3, 10, nil) // fast: counted, not logged
-	tr.Record(5*time.Millisecond, "p2|", 9, 2, 4, nil)   // slow: logged
-	if tr.Spans.Value() != 2 || tr.Slow.Value() != 1 {
-		t.Errorf("spans=%d slow=%d", tr.Spans.Value(), tr.Slow.Value())
-	}
-	out := b.String()
-	if !strings.Contains(out, "partition=p2|") || !strings.Contains(out, "tick=9") ||
-		!strings.Contains(out, "plans=2") || !strings.Contains(out, "events=4") {
-		t.Errorf("slow txn log = %q", out)
-	}
-	if strings.Contains(out, "p1") {
-		t.Errorf("fast txn logged: %q", out)
-	}
-
-	var nilTr *Tracer
-	nilTr.Record(time.Second, "x", 1, 1, 1, nil) // no-op, must not panic
-
-	// A slow record carrying a stage span appends its breakdown.
-	b.Reset()
-	st := NewStageTracer(1, 8)
-	sp := st.Start(9, 0)
-	sp.Stamp(StageRingWait, int64(2*time.Millisecond))
-	sp.Stamp(StageExec, int64(3*time.Millisecond))
-	tr.Record(5*time.Millisecond, "p3", 9, 1, 2, sp)
-	if out := b.String(); !strings.Contains(out, "ring_wait=2ms") || !strings.Contains(out, "exec=3ms") {
-		t.Errorf("slow txn span breakdown missing: %q", out)
-	}
-	sp.Finish()
 }
 
 // TestRegistryConcurrentScrape hammers counters, gauges and
@@ -211,6 +177,9 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 	}
 	if h.Count() != writers*perWriter {
 		t.Errorf("final histogram count = %d, want %d", h.Count(), writers*perWriter)
+	}
+	if h.Max() != writers-1+999 {
+		t.Errorf("final histogram max = %d, want %d", h.Max(), writers-1+999)
 	}
 	if g.Value() != writers*perWriter {
 		t.Errorf("final gauge = %d, want %d", g.Value(), writers*perWriter)

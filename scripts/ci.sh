@@ -29,6 +29,12 @@ fi
 echo "== go build ./..."
 go build ./...
 
+# The benchmark is a module of its own: its layer probe builds engine
+# configs through internal/core, so a renamed config field fails here
+# rather than as "layers: unavailable" in a later benchmark run.
+echo "== benchmark module: vet (with the layer probe) and tests"
+(cd benchmark && go vet -tags benchlayers ./... && go test ./...)
+
 echo "== go test -race ./..."
 go test -race ./...
 

@@ -9,6 +9,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/caesar-cep/caesar/internal/event"
+	"github.com/caesar-cep/caesar/internal/linearroad"
 )
 
 // The toll fingerprint is the data oracle for every engine
@@ -88,7 +91,7 @@ func runToll(t *testing.T, cfg Config, run func(*Engine, []*Event) (*Stats, erro
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w := NewEventWriter(&buf)
+	w := event.NewWriter(&buf)
 	lines := make([]string, 0, len(st.Outputs))
 	for _, e := range st.Outputs {
 		buf.Reset()
@@ -108,7 +111,7 @@ func runToll(t *testing.T, cfg Config, run func(*Engine, []*Event) (*Stats, erro
 func encodeWire(t *testing.T, evs []*Event) []byte {
 	t.Helper()
 	var wire bytes.Buffer
-	w := NewEventWriter(&wire)
+	w := event.NewWriter(&wire)
 	for _, e := range evs {
 		if err := w.Write(e); err != nil {
 			t.Fatal(err)
@@ -161,13 +164,13 @@ func TestTollFingerprint(t *testing.T) {
 }
 
 // TestIngestPathsByteIdentical covers the ingest sources: the wire
-// decoder's arena path behind a two-batch read-ahead ring, and the
+// decoder's arena path behind the read-ahead ring, and the
 // arena-backed generator fed through RunBatches.
 func TestIngestPathsByteIdentical(t *testing.T) {
 	checkToll(t, []tollRow{
-		{name: "wire", cfg: Config{Workers: 3, ReadAhead: 2},
+		{name: "wire", cfg: Config{Workers: 3},
 			run: func(t *testing.T, e *Engine, evs []*Event) (*Stats, error) {
-				return e.Run(NewEventReader(bytes.NewReader(encodeWire(t, evs)), e.Registry()))
+				return e.Run(event.NewReader(bytes.NewReader(encodeWire(t, evs)), e.Registry()))
 			},
 			check: func(t *testing.T, st *Stats) {
 				if st.Batches == 0 {
@@ -185,7 +188,7 @@ func TestIngestPathsByteIdentical(t *testing.T) {
 			}},
 		{name: "stream", cfg: Config{Workers: 3},
 			run: func(t *testing.T, e *Engine, evs []*Event) (*Stats, error) {
-				s, err := NewLinearRoadStream(tollGenConfig(), e.Registry())
+				s, err := linearroad.NewStream(tollGenConfig(), e.Registry())
 				if err != nil {
 					t.Fatal(err)
 				}
