@@ -156,10 +156,10 @@ func BenchmarkEngineDispatchBound(b *testing.B) {
 
 // BenchmarkEngineSharded is the sharded runtime's scaling series: the
 // dispatch-bound workload of BenchmarkEngineDispatchBound across
-// shard counts (shards=1 is the legacy distributor + worker-pool
-// pipeline), with the stage tracer enabled at its default 1-in-64
-// sample rate — the series doubles as the proof that sampled tracing
-// costs nothing measurable. scripts/bench.sh renders this series into
+// shard counts (shards=1 is the distributor + worker pool), with
+// the stage tracer enabled at its default 1-in-64 sample rate — the
+// series doubles as the proof that sampled tracing costs nothing
+// measurable. scripts/bench.sh renders this series into
 // BENCH_scaling.json; speedup over shards=1 is bounded by the
 // machine's core count — see EXPERIMENTS.md for measured numbers and
 // the hardware note.

@@ -36,7 +36,7 @@ func main() {
 	baseline := flag.Bool("baseline", false, "run the context-independent baseline")
 	noPushdown := flag.Bool("no-pushdown", false, "disable context window push-down")
 	share := flag.Bool("share", false, "enable context workload sharing")
-	workers := flag.Int("workers", 4, "worker pool size (legacy pipeline; ignored when -shards > 1)")
+	workers := flag.Int("workers", 4, "worker pool size (ignored when -shards > 1)")
 	shards := flag.Int("shards", 1, "engine shards, each owning its partitions end to end (1 = classic pipeline, 0 = GOMAXPROCS)")
 	pacing := flag.Duration("pacing", 0, "wall time per application time unit (0 = as fast as possible)")
 	durableDir := flag.String("durable-dir", "", "directory for the input WAL and state checkpoints; a re-run over the same directory recovers and resumes")

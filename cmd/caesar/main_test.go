@@ -327,6 +327,9 @@ func TestTraceHealthEndpointSmoke(t *testing.T) {
 	if build.Config["shards"] != "2" || build.Config["trace_sample_rate"] != "1" {
 		t.Errorf("/buildz config wrong: %v", build.Config)
 	}
+	if w, ok := build.Config["workers"]; ok {
+		t.Errorf("/buildz reports workers=%s for the shards, which ignore it", w)
+	}
 }
 
 // scrape polls the URL until the body contains want (the run may not

@@ -13,7 +13,7 @@ import (
 // A result therefore leaves as soon as the engine goes quiet, instead
 // of waiting for later output to fill the buffer. Emit and Idle are the
 // engine's OnOutput and OnIdle hooks; they are safe for concurrent use,
-// because the legacy worker pool delivers from several goroutines.
+// because the worker pool delivers from several goroutines.
 //
 // The first write error is kept: from then on output is dropped
 // instead of calling a failing writer once per line, and Err reports

@@ -201,7 +201,8 @@ func (c Config) mode() string {
 
 // Summary renders the configuration as a flat string map — the
 // config block of the /buildz admin endpoint. Summarize a resolved
-// configuration to report the values the engine runs with.
+// configuration to report the values the engine runs with; workers
+// appears only on the pool (Shards ≤ 1).
 func (c Config) Summary() map[string]string {
 	s := map[string]string{
 		"mode":         c.mode(),
@@ -209,8 +210,10 @@ func (c Config) Summary() map[string]string {
 		"fusion":       strconv.FormatBool(c.FusePatterns),
 		"pushdown":     strconv.FormatBool(!c.DisablePushDown && !c.ContextIndependent),
 		"partition_by": strings.Join(c.PartitionBy, ","),
-		"workers":      strconv.Itoa(c.Workers),
 		"shards":       strconv.Itoa(c.Shards),
+	}
+	if c.Shards <= 1 { // the shards ignore the pool size
+		s["workers"] = strconv.Itoa(c.Workers)
 	}
 	if c.Pacing > 0 {
 		s["pacing"] = c.Pacing.String()

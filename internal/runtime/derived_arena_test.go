@@ -78,9 +78,9 @@ func TestDerivedChainSurvivesReclamation(t *testing.T) {
 		reclaimed func(e *Engine) uint64
 	}{
 		{"workers=2", func(c *Config) { c.Workers = 2 },
-			func(e *Engine) uint64 { return sumReclaimed(e.legacyRun.workers) }},
+			func(e *Engine) uint64 { return sumReclaimed(e.cached.workers) }},
 		{"shards=2", func(c *Config) { c.Shards = 2 },
-			func(e *Engine) uint64 { return sumReclaimed(e.shardedCached.workers) }},
+			func(e *Engine) uint64 { return sumReclaimed(e.cached.workers) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

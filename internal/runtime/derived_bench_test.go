@@ -1,10 +1,8 @@
 package runtime
 
 import (
-	"math"
 	gort "runtime"
 	"testing"
-	"time"
 
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/model"
@@ -49,19 +47,9 @@ func BenchmarkEngineDerivedHeavy(b *testing.B) {
 	eng := newEngine(b, m, Config{PartitionBy: []string{"seg"}, Shards: nShards})
 
 	// The real run scaffolding, driven by the benchmark loop standing
-	// in for the router: one preallocated tick re-timed per iteration
-	// (same harness as BenchmarkEngineShardedTraced).
-	r := newShardedRun(eng, nShards)
-	r.start = time.Now()
-	r.watermark.Store(math.MinInt64)
-	r.health = registerRunHealth(nil, "shards", func() int64 { return 0 }, func() int64 { return 0 })
-	for _, s := range r.shards {
-		r.wg.Add(1)
-		go func(s *engineShard) {
-			defer r.wg.Done()
-			s.loop()
-		}(s)
-	}
+	// in for the decode stage: one preallocated tick re-timed per
+	// iteration (same harness as BenchmarkEngineShardedTraced).
+	r := eng.armRun()
 
 	sch, ok := m.Registry.Lookup("P")
 	if !ok {
@@ -80,8 +68,8 @@ func BenchmarkEngineDerivedHeavy(b *testing.B) {
 		}
 	}
 	await := func(ts event.Time) {
-		for _, s := range r.shards {
-			for s.sentTS == int64(ts) && s.completed.Load() < int64(ts) {
+		for _, w := range r.workers {
+			for w.sentTS == int64(ts) && w.completed.Load() < int64(ts) {
 				gort.Gosched()
 			}
 		}
@@ -109,9 +97,7 @@ func BenchmarkEngineDerivedHeavy(b *testing.B) {
 		await(ts)
 	}
 	b.StopTimer()
-	for _, s := range r.shards {
-		s.in.close()
-	}
+	r.place.stop()
 	r.wg.Wait()
 
 	// The warm phase alone crosses the retention horizon many times

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/caesar-cep/caesar/internal/event"
@@ -12,15 +13,15 @@ import (
 // attributes — typically global context triggers.
 const controlKey = "·"
 
-// partition is one entry of the distributor's persistent partition
-// table. The entry interns the materialized key string, caches the
-// owning worker (FNV-1a over the key bytes, stable for the run), and
-// holds the batch buffer being filled during the current tick.
+// partition is one entry of a partition table (partTable). The entry
+// interns the materialized key string, caches the owning worker
+// (stable for the run), and holds the batch buffer being filled
+// during the current tick.
 //
-// batch is distributor-only state; state is worker-only state (the
-// channel send of the partition's first transaction happens-before
-// the worker's first access, and the distributor never touches it),
-// so the struct needs no lock.
+// batch is router-side state; state is worker-only state (the
+// hand-off of the partition's first transaction happens-before the
+// worker's first access, and the router never touches it), so the
+// struct needs no lock.
 type partition struct {
 	key    string
 	worker *worker
@@ -93,7 +94,7 @@ type schemaKeyPlan struct {
 
 // keyer renders partition keys into a reusable byte scratch. It is
 // the schema-plan half of the event distributor, shared between the
-// legacy distributor (which also interns partitions) and the sharded
+// partition tables (which also intern partitions) and the shard
 // router (which only hashes the key to pick a shard).
 type keyer struct {
 	partBy []string
@@ -162,91 +163,130 @@ func powerOfTwoMask(n int) uint32 {
 	return 0
 }
 
-// distributor implements the paper's event distributor (§6, Fig. 8)
-// as a zero-allocation hot path: partition keys are rendered into a
-// reusable byte scratch, interned in a persistent partition table,
-// and each tick's transactions reach the workers as one batched
-// message per worker.
-type distributor struct {
+// partTable interns stream partitions: the keyer renders each
+// event's key, the table maps it to one persistent entry, and intern
+// assigns a new partition its worker by key hash. The pool's
+// distributor keeps one table over every worker; each engine shard
+// keeps its own over its one worker. Zero-allocation steady state:
+// the key renders into the reused scratch and is found via the
+// allocation-free map[string] byte-slice probe; the key string is
+// materialized once, when the partition is first seen.
+type partTable struct {
 	keyer
+	table   map[string]*partition
+	control *partition // lazily interned control partition
 	workers []*worker
 	wmask   uint32 // len(workers)-1 when a power of two, else 0
 
-	table   map[string]*partition
-	active  []*partition // partitions hit this tick, in first-seen order
-	pending []*txnBuf    // per-worker transaction batch, parallel to workers
-	control *partition   // lazily interned control partition
-
-	// rm, when set by the engine, carries the partition-count gauge
-	// (the distributor runs on the Run goroutine — single writer).
-	rm *runMetrics
-
-	// stages samples tick timelines (nil = no stage clocks at all);
-	// decodeNs/queueNs carry the current batch's decode and queue-wait
-	// stamps. All dispatch-goroutine-owned.
-	stages   *telemetry.StageTracer
-	decodeNs int64
-	queueNs  int64
+	// parts mirrors len(table) for scrape-time gauges (the table is
+	// confined to its owner); rm, when set, carries the run's
+	// partition-count gauge.
+	parts atomic.Int64
+	rm    *runMetrics
 }
 
-func newDistributor(workers []*worker, partBy []string) *distributor {
-	return &distributor{
-		keyer:   newKeyer(partBy),
-		workers: workers,
-		wmask:   powerOfTwoMask(len(workers)),
-		table:   make(map[string]*partition),
-		pending: make([]*txnBuf, len(workers)),
-	}
+func (t *partTable) init(workers []*worker, partBy []string, rm *runMetrics) {
+	t.keyer = newKeyer(partBy)
+	t.table = make(map[string]*partition)
+	t.workers = workers
+	t.wmask = powerOfTwoMask(len(workers))
+	t.rm = rm
 }
 
-// partitionOf interns the event's partition and returns its table
-// entry. On the steady-state path (known schema, known partition) it
-// allocates nothing: the key is rendered into the reused scratch and
-// found via the allocation-free map[string] byte-slice probe; the
-// key string is materialized once, when the partition is first seen.
-func (d *distributor) partitionOf(ev *event.Event) *partition {
-	b := d.render(ev)
+// partitionOf returns the event's partition, interning it on first
+// sight.
+func (t *partTable) partitionOf(ev *event.Event) *partition {
+	b := t.render(ev)
 	if b == nil {
-		return d.controlPartition()
+		if t.control == nil {
+			t.intern(controlKey)
+		}
+		return t.control
 	}
-	if p, ok := d.table[string(b)]; ok {
+	if p, ok := t.table[string(b)]; ok {
 		return p
 	}
-	return d.intern(string(b))
+	return t.intern(string(b))
 }
 
-func (d *distributor) controlPartition() *partition {
-	if d.control == nil {
-		d.control = d.intern(controlKey)
+// lookup returns the key's partition, interning it on first sight
+// (snapshot restore routes sections by key).
+func (t *partTable) lookup(key string) *partition {
+	if p, ok := t.table[key]; ok {
+		return p
 	}
-	return d.control
+	return t.intern(key)
 }
 
 // intern adds a partition entry; called once per distinct key.
-func (d *distributor) intern(key string) *partition {
+func (t *partTable) intern(key string) *partition {
 	p := &partition{
 		key:    key,
-		worker: d.workers[pickIdx(fnv1a(key), len(d.workers), d.wmask)],
+		worker: t.workers[pickIdx(fnv1a(key), len(t.workers), t.wmask)],
 	}
-	d.table[key] = p
-	if d.rm != nil {
-		d.rm.partitions.Set(int64(len(d.table)))
+	t.table[key] = p
+	if key == controlKey {
+		t.control = p
+	}
+	t.parts.Add(1)
+	if t.rm != nil {
+		t.rm.partitions.Add(1)
 	}
 	return p
 }
 
-// dispatch partitions one tick's events and hands each worker at
-// most one batched message. Partitions are visited in first-seen
-// order — deterministic for in-order input — and transactions of the
-// same partition always reach the same worker in timestamp order,
-// the §6.2 scheduler correctness condition.
+// each visits every interned partition (snapshot and reset).
+func (t *partTable) each(fn func(*partition)) {
+	for _, p := range t.table {
+		fn(p)
+	}
+}
+
+// distributor implements the paper's event distributor (§6, Fig. 8)
+// and is the pool placement of the run driver: partitions are
+// interned in one table over the worker pool, and each tick's
+// transactions reach the workers as one batched message per worker
+// over channels. Every worker's messages arrive in tick order, so
+// there is nothing to flush and nothing to quiesce beyond the driver's
+// wait on the progress marks.
+type distributor struct {
+	partTable
+	active  []*partition // partitions hit this tick, in first-seen order
+	pending []*txnBuf    // per-worker transaction batch, parallel to workers
+
+	// trace carries the driver's stage-tracing state; read only on
+	// sampled ticks (nil in harnesses that never sample).
+	trace *tickTrace
+}
+
+func newDistributor(workers []*worker, partBy []string) *distributor {
+	d := &distributor{pending: make([]*txnBuf, len(workers))}
+	d.init(workers, partBy, nil)
+	return d
+}
+
+// start launches one goroutine per worker.
+func (d *distributor) start(wg *sync.WaitGroup) {
+	for _, w := range d.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.loop()
+		}()
+	}
+}
+
+// route partitions one tick's events and hands each worker at most
+// one batched message. Partitions are visited in first-seen order —
+// deterministic for in-order input — and transactions of the same
+// partition always reach the same worker in timestamp order, the
+// §6.2 scheduler correctness condition.
 //
-// On sampled ticks (stage tracing) each dispatched message carries a
-// span stamped with the batch's decode/queue shares and this tick's
-// routing time; arrival doubles as the route-start instant, so
-// sampling adds exactly one extra clock read to the dispatch path.
-func (d *distributor) dispatch(ts event.Time, evs []*event.Event, arrival int64) {
-	sampled := d.stages.SampleTick()
+// On sampled ticks each dispatched message carries a span stamped
+// with the batch's decode/queue shares and this tick's routing time;
+// arrival doubles as the route-start instant, so sampling adds
+// exactly one extra clock read to the dispatch path.
+func (d *distributor) route(ts event.Time, evs []*event.Event, arrival int64, sampled bool) {
 	for _, ev := range evs {
 		ev.Arrival = arrival
 		p := d.partitionOf(ev)
@@ -275,16 +315,25 @@ func (d *distributor) dispatch(ts event.Time, evs []*event.Event, arrival int64)
 		if tb != nil {
 			var sp *telemetry.Span
 			if sampled {
-				sp = d.stages.Start(int64(ts), i)
-				sp.Stamp(telemetry.StageDecode, d.decodeNs)
-				sp.Stamp(telemetry.StageQueue, d.queueNs)
-				sp.Stamp(telemetry.StageRoute, now-arrival)
-				sp.MarkAt(now)
+				sp = d.trace.stages.Start(int64(ts), i)
+				d.trace.routed(sp, arrival, now)
 			}
 			d.workers[i].ch <- txnMsg{ts: ts, buf: tb, span: sp}
 			d.workers[i].sentTS = int64(ts)
 			d.pending[i] = nil
 		}
+	}
+}
+
+// flush and quiesce are no-ops: route hands every tick over whole.
+func (d *distributor) flush()             {}
+func (d *distributor) quiesce(event.Time) {}
+
+// stop ends the worker loops with a sentinel message; the channels
+// stay open so a cached run can reuse them.
+func (d *distributor) stop() {
+	for _, w := range d.workers {
+		w.ch <- txnMsg{}
 	}
 }
 

@@ -47,7 +47,7 @@ func BenchmarkDistributor(b *testing.B) {
 	d := newDistributor(ws, []string{"xway", "dir", "seg"})
 	tick := benchTick(tickSize, parts)
 	// Warm the partition table and buffer free lists.
-	d.dispatch(1, tick, 1)
+	d.route(1, tick, 1, false)
 	for _, w := range ws {
 		drainStub(w)
 	}
@@ -55,7 +55,7 @@ func BenchmarkDistributor(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.dispatch(event.Time(i+2), tick, 1)
+		d.route(event.Time(i+2), tick, 1, false)
 		for _, w := range ws {
 			drainStub(w)
 		}
@@ -85,12 +85,12 @@ func BenchmarkDistributorConcurrent(b *testing.B) {
 	}
 	d := newDistributor(ws, []string{"xway", "dir", "seg"})
 	tick := benchTick(tickSize, parts)
-	d.dispatch(1, tick, 1)
+	d.route(1, tick, 1, false)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.dispatch(event.Time(i+2), tick, 1)
+		d.route(event.Time(i+2), tick, 1, false)
 	}
 	b.StopTimer()
 	for _, w := range ws {
@@ -109,9 +109,9 @@ func BenchmarkDistributorTraced(b *testing.B) {
 	const workers, parts, tickSize = 4, 24, 512
 	ws := stubWorkers(workers)
 	d := newDistributor(ws, []string{"xway", "dir", "seg"})
-	d.stages = telemetry.NewStageTracer(1, 64)
+	d.trace = &tickTrace{stages: telemetry.NewStageTracer(1, 64)}
 	tick := benchTick(tickSize, parts)
-	d.dispatch(1, tick, 1)
+	d.route(1, tick, 1, d.trace.stages.SampleTick())
 	for _, w := range ws {
 		drainStub(w)
 	}
@@ -119,13 +119,13 @@ func BenchmarkDistributorTraced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.dispatch(event.Time(i+2), tick, 1)
+		d.route(event.Time(i+2), tick, 1, d.trace.stages.SampleTick())
 		for _, w := range ws {
 			drainStub(w)
 		}
 	}
 	b.StopTimer()
-	if spans := d.stages.Timelines(); len(spans) == 0 {
+	if spans := d.trace.stages.Timelines(); len(spans) == 0 {
 		b.Fatal("tracer recorded nothing at sample rate 1")
 	}
 	b.ReportMetric(tickSize, "events/op")

@@ -105,7 +105,7 @@ func TestDispatchBatchesPerWorker(t *testing.T) {
 		distEvent(1, 0, 0, 5, 3),
 		distEvent(1, 0, 0, 3, 4),
 	}
-	d.dispatch(1, tick, 42)
+	d.route(1, tick, 42, false)
 
 	if got := len(w.ch); got != 1 {
 		t.Fatalf("worker received %d messages for one tick, want 1", got)
@@ -139,7 +139,7 @@ func TestDispatchBatchesPerWorker(t *testing.T) {
 	}
 	w.putTxnBuf(msg.buf)
 
-	d.dispatch(2, tick[:2], 43)
+	d.route(2, tick[:2], 43, false)
 	msg2 := <-w.ch
 	if msg2.buf != firstTxnBuf {
 		t.Error("txn buffer was not recycled")

@@ -14,7 +14,8 @@
 // instead of double-processing.
 //
 // Everything here is gated on Config.DurableDir: with durability off,
-// the dispatch paths see one nil check per tick and allocate nothing.
+// the driver's tick sees one nil check and allocates nothing. Recovery
+// is the driver's (run), written once for both placements.
 package runtime
 
 import (
@@ -48,22 +49,17 @@ var errSimulatedCrash = errors.New("runtime: simulated crash (test fault injecti
 
 // durableState is one run's durability context: the open WAL, the
 // checkpoint cadence, the recovery dedup bound, and the metric
-// surface. Owned by the dispatch/router goroutine except for the
+// surface. Owned by the driver goroutine except for the
 // atomics the health probe reads.
 type durableState struct {
-	e           *Engine
 	dir         string
 	wal         *durability.WAL
 	every       int
 	fingerprint string
 
-	// replaying suppresses WAL appends, pacing and checkpointing while
-	// recovery re-dispatches the WAL tail (those ticks are already
-	// logged).
-	replaying bool
 	// skipUntil is the recovery point: live ticks at or below it were
 	// already processed via snapshot restore or WAL replay and are
-	// dropped by the dispatch loops.
+	// dropped by the driver's tick.
 	skipUntil event.Time
 	haveSkip  bool
 
@@ -76,7 +72,7 @@ type durableState struct {
 
 	// scratch carries the checkpoint's partition list across
 	// invocations so the barrier path does not regrow it.
-	scratch []partSnap
+	scratch []*partition
 	// lastSyncs tracks the WAL's cumulative sync count for delta
 	// publishing into walSyncs.
 	lastSyncs uint64
@@ -92,15 +88,8 @@ type durableState struct {
 	ckptDur     telemetry.Histogram
 }
 
-// partSnap pairs a partition key with its state for checkpointing.
-type partSnap struct {
-	key string
-	ps  *partitionState
-}
-
 func (e *Engine) newDurableState() *durableState {
 	ds := &durableState{
-		e:           e,
 		dir:         e.cfg.DurableDir,
 		every:       e.cfg.CheckpointEvery,
 		fingerprint: e.durabilityFingerprint(),
@@ -216,12 +205,12 @@ func (ds *durableState) tickDone() bool {
 // snapshot atomically and truncates the WAL to the oldest snapshot
 // still retained. The caller holds the quiesce barrier: every
 // dispatched tick ≤ ts is fully executed and its outputs delivered.
-func (ds *durableState) checkpoint(ts event.Time, parts []partSnap) error {
+func (ds *durableState) checkpoint(ts event.Time, parts []*partition) error {
 	start := time.Now()
 	sort.Slice(parts, func(i, j int) bool { return parts[i].key < parts[j].key })
 	secs := make([]durability.Section, 0, len(parts))
 	for _, p := range parts {
-		data, err := savePartitionState(p.ps)
+		data, err := savePartitionState(p.state)
 		if err != nil {
 			return fmt.Errorf("runtime: checkpoint t=%d partition %q: %w", ts, p.key, err)
 		}
@@ -260,57 +249,6 @@ func (ds *durableState) closeWAL() error {
 		return nil
 	}
 	return ds.wal.Close()
-}
-
-// recover drives the common recovery sequence: load the latest usable
-// snapshot, restore it through the runtime-specific hook, re-dispatch
-// the WAL tail, then open the WAL for the run's own appends.
-// restoredTo advances the caller's ordering clock to the snapshot
-// tick; replay dispatches one recovered tick on the caller's path.
-func (ds *durableState) recover(
-	restore func(*durability.Snapshot) error,
-	restoredTo func(event.Time),
-	replay func(event.Time, []*event.Event) error,
-) error {
-	snap, err := durability.LoadLatestSnapshot(ds.dir, ds.fingerprint)
-	if err != nil {
-		return err
-	}
-	if snap != nil {
-		if err := restore(snap); err != nil {
-			return err
-		}
-		ds.skipUntil, ds.haveSkip = snap.Tick, true
-		ds.lastCkpt.Store(int64(snap.Tick))
-		restoredTo(snap.Tick)
-	}
-	ds.replaying = true
-	last, ok, err := durability.ReplayWAL(ds.dir, ds.e.m.Registry, func(tick event.Time, evs []*event.Event) error {
-		if ds.haveSkip && tick <= ds.skipUntil {
-			ds.dups.Inc()
-			return nil
-		}
-		if err := replay(tick, evs); err != nil {
-			return err
-		}
-		ds.replayed.Inc()
-		return nil
-	})
-	ds.replaying = false
-	if err != nil {
-		return err
-	}
-	if ok && (!ds.haveSkip || last > ds.skipUntil) {
-		ds.skipUntil, ds.haveSkip = last, true
-	}
-	wal, err := durability.OpenWAL(ds.dir, ds.e.walSyncEvery())
-	if err != nil {
-		return err
-	}
-	ds.wal = wal
-	ds.lastSyncs = wal.Syncs()
-	wal.FsyncObserve = func(ns int64) { ds.fsync.Observe(ns) }
-	return nil
 }
 
 // skipTick reports whether a live tick is at or below the recovery
@@ -413,53 +351,62 @@ func sectionKey(sec durability.Section) (string, error) {
 	return key, nil
 }
 
-// ---- legacy pipeline (run) ----
-
-// openDurable wires recovery and the WAL into a legacy-pipeline run.
-// Called from the dispatch goroutine after the workers are spawned and
-// before the decode stage starts; restored state reaches the workers
-// with the happens-before of their first channel receive.
+// openDurable wires recovery and the WAL into the run: restore the
+// latest usable snapshot, replay the WAL tail through the driver's
+// tick with live=false, then open the WAL for the run's own appends.
+// Called from the driver goroutine after the execution units start and
+// before the decode stage; restored state reaches each unit with the
+// happens-before of its first hand-off (channel receive or ring pop).
 func (r *run) openDurable() error {
 	ds := r.e.newDurableState()
 	r.dur = ds
 	ds.registerMetrics(r.e.cfg.Telemetry)
 	ds.registerHealth(r.e.cfg.Health, r.health)
-	return ds.recover(
-		r.restoreSnapshot,
-		func(t event.Time) { r.lastTS, r.haveLast = t, true },
-		func(tick event.Time, evs []*event.Event) error {
-			r.rm.events.Add(uint64(len(evs)))
-			if err := r.dispatchTick(tick, evs); err != nil {
-				return err
-			}
-			r.lastTS, r.haveLast = tick, true
-			return nil
-		},
-	)
+	snap, err := durability.LoadLatestSnapshot(ds.dir, ds.fingerprint)
+	if err != nil {
+		return err
+	}
+	if snap != nil {
+		if err := r.restoreSnapshot(snap); err != nil {
+			return err
+		}
+		ds.skipUntil, ds.haveSkip = snap.Tick, true
+		ds.lastCkpt.Store(int64(snap.Tick))
+		r.lastTS, r.haveLast = snap.Tick, true
+	}
+	last, ok, err := durability.ReplayWAL(ds.dir, r.e.m.Registry, func(tick event.Time, evs []*event.Event) error {
+		return r.tick(tick, evs, true, false)
+	})
+	if err != nil {
+		return err
+	}
+	if ok && (!ds.haveSkip || last > ds.skipUntil) {
+		ds.skipUntil, ds.haveSkip = last, true
+	}
+	wal, err := durability.OpenWAL(ds.dir, r.e.walSyncEvery())
+	if err != nil {
+		return err
+	}
+	ds.wal = wal
+	ds.lastSyncs = wal.Syncs()
+	wal.FsyncObserve = func(ns int64) { ds.fsync.Observe(ns) }
+	return nil
 }
 
-// restoreSnapshot routes every section to its partition, building the
-// partition (and its state) exactly as first dispatch would.
+// restoreSnapshot routes every section to its partition through the
+// placement, building the partition (and its state) exactly as first
+// routing would.
 func (r *run) restoreSnapshot(snap *durability.Snapshot) error {
 	for _, sec := range snap.Sections {
 		key, err := sectionKey(sec)
 		if err != nil {
 			return err
 		}
-		var p *partition
-		if key == controlKey {
-			p = r.dist.controlPartition()
-		} else if q, ok := r.dist.table[key]; ok {
-			p = q
-		} else {
-			p = r.dist.intern(key)
+		p := r.place.lookup(key)
+		if p.state == nil {
+			p.state = p.worker.newPartition(key)
 		}
-		ps := p.state
-		if ps == nil {
-			ps = p.worker.newPartition(key)
-			p.state = ps
-		}
-		if err := r.e.loadPartitionState(ps, sec.Data); err != nil {
+		if err := r.e.loadPartitionState(p.state, sec.Data); err != nil {
 			return fmt.Errorf("runtime: restore partition %q: %w", key, err)
 		}
 	}
@@ -467,142 +414,27 @@ func (r *run) restoreSnapshot(snap *durability.Snapshot) error {
 }
 
 // maybeCheckpoint snapshots the run every CheckpointEvery ticks: the
-// worker pool is quiesced (completed catches sentTS — outputs are
-// emitted synchronously on worker goroutines, so completion implies
-// delivery), then every partition serializes on this goroutine.
+// placement readies the barrier, every unit's completed mark catches
+// its sentTS (pool workers emit synchronously, so completion implies
+// delivery; the shards' merger has released ts by then), and every
+// partition serializes on this goroutine.
 func (r *run) maybeCheckpoint(ts event.Time) error {
 	ds := r.dur
 	if !ds.tickDone() {
 		return nil
 	}
+	r.place.quiesce(ts)
 	for _, w := range r.workers {
-		if w.sentTS == math.MinInt64 {
-			continue
-		}
 		for w.completed.Load() < w.sentTS {
 			gort.Gosched()
 		}
 	}
 	snaps := ds.scratch[:0]
-	for key, p := range r.dist.table {
+	r.place.each(func(p *partition) {
 		if p.state != nil {
-			snaps = append(snaps, partSnap{key, p.state})
+			snaps = append(snaps, p)
 		}
-	}
-	ds.scratch = snaps[:0]
-	return ds.checkpoint(ts, snaps)
-}
-
-// ---- sharded runtime (shardedRun) ----
-
-// openDurable wires recovery and the WAL into a sharded run. Called
-// from the router goroutine after the shard goroutines are spawned;
-// restored state reaches each shard with the happens-before of its
-// first ring pop.
-func (r *shardedRun) openDurable() error {
-	ds := r.e.newDurableState()
-	r.dur = ds
-	ds.registerMetrics(r.e.cfg.Telemetry)
-	ds.registerHealth(r.e.cfg.Health, r.health)
-	return ds.recover(
-		r.restoreSnapshot,
-		func(t event.Time) { r.lastTS, r.haveLast = t, true },
-		r.replayTick,
-	)
-}
-
-// restoreSnapshot routes every section to its owning shard by the same
-// hash the router uses, so restored partitions land exactly where live
-// events will find them — under any shard count.
-func (r *shardedRun) restoreSnapshot(snap *durability.Snapshot) error {
-	for _, sec := range snap.Sections {
-		key, err := sectionKey(sec)
-		if err != nil {
-			return err
-		}
-		s := r.shards[pickIdx(fnv1a(key), len(r.shards), r.smask)]
-		p, ok := s.table[key]
-		if !ok {
-			p = s.intern(key)
-		}
-		if key == controlKey && s.control == nil {
-			s.control = p
-		}
-		ps := p.state
-		if ps == nil {
-			ps = s.w.newPartition(key)
-			p.state = ps
-		}
-		if err := r.e.loadPartitionState(ps, sec.Data); err != nil {
-			return fmt.Errorf("runtime: restore partition %q: %w", key, err)
-		}
-	}
-	return nil
-}
-
-// replayTick routes one recovered tick to the shards: Arrival stamped,
-// grants flushed per tick, no pacing, no stage spans, no WAL append
-// (the tick is already in the log).
-func (r *shardedRun) replayTick(ts event.Time, evs []*event.Event) error {
-	r.rm.events.Add(uint64(len(evs)))
-	r.rm.ticks.Inc()
-	arrival := time.Now().UnixNano()
-	for _, ev := range evs {
-		ev.Arrival = arrival
-		si := r.shardOf(ev)
-		msg := r.pending[si]
-		if msg == nil {
-			msg = r.grant(si)
-			r.pending[si] = msg
-		}
-		msg.evs = append(msg.evs, ev)
-	}
-	r.flush()
-	r.lastTS, r.haveLast = ts, true
-	r.health.routed.Store(int64(ts))
-	return nil
-}
-
-// maybeCheckpoint snapshots a sharded run every CheckpointEvery ticks.
-// Quiesce works in three steps: flush the pending grants; push a mark
-// grant to every shard the current tick never touched (an idle shard
-// never advances completed, which would stall both this barrier and
-// the merger's release scan); spin until every shard's completed mark
-// and — when outputs merge — the merger's released tick reach ts, so
-// every output at or below ts is delivered before state serializes.
-func (r *shardedRun) maybeCheckpoint(ts event.Time) error {
-	ds := r.dur
-	if !ds.tickDone() {
-		return nil
-	}
-	r.flush()
-	for _, s := range r.shards {
-		if s.sentTS < int64(ts) {
-			msg := r.grant(uint32(s.id))
-			msg.mark, msg.hasMark = int64(ts), true
-			s.sentTS = int64(ts)
-			s.in.push(msg)
-		}
-	}
-	for _, s := range r.shards {
-		for s.completed.Load() < s.sentTS {
-			gort.Gosched()
-		}
-	}
-	if m := r.mrg; m != nil {
-		for m.released.Load() < int64(ts) {
-			m.wake()
-			gort.Gosched()
-		}
-	}
-	snaps := ds.scratch[:0]
-	for _, s := range r.shards {
-		for key, p := range s.table {
-			if p.state != nil {
-				snaps = append(snaps, partSnap{key, p.state})
-			}
-		}
-	}
+	})
 	ds.scratch = snaps[:0]
 	return ds.checkpoint(ts, snaps)
 }

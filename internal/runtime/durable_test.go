@@ -41,7 +41,7 @@ func sameLines(a, b []string) bool {
 }
 
 // durableEngine builds an engine whose OnOutput delivery order is
-// deterministic: a single worker on the legacy pipeline (shards=1),
+// deterministic: a single worker on the pool (shards=1),
 // the ordered merge layer otherwise. dir == "" runs without
 // durability.
 func durableEngine(t testing.TB, shards int, dir string, every, walSync int) (*Engine, *model.Model, *outputLog) {
@@ -300,7 +300,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	if _, err := eng.RunBatches(newArenaTickSource(b, m, segs, ticks)); err != nil {
 		b.Fatal(err)
 	}
-	r := eng.legacyRun
+	r := eng.cached
 	if r == nil {
 		b.Fatal("clean run did not cache its scaffolding")
 	}
@@ -308,7 +308,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bytes = 0
-		for _, pt := range r.dist.table {
+		for _, pt := range r.place.(*distributor).table {
 			if pt.state == nil {
 				continue
 			}

@@ -22,6 +22,16 @@
 // applied at its end. This realizes the (t_i, t_t] window semantics
 // of Def. 1 and makes context processing at time t depend only on
 // context derivation at times < t.
+//
+// # Driver and placements
+//
+// Every run has one driver (ingest.go): it decodes, orders, logs,
+// paces, samples and checkpoints ticks, replays the WAL on recovery,
+// and publishes the watermark and health from one progress mark per
+// execution unit. A placement decides only where a tick's events
+// execute and how to wait for them: the worker pool behind the event
+// distributor (distributor.go, worker.go) or the engine shards behind
+// the router and the ordered output merger (shard.go, merge.go).
 package runtime
 
 import (
@@ -106,14 +116,13 @@ type Engine struct {
 	// execUnit.qmIdx (one slot per distinct query across groups).
 	queryNames []string
 
-	// legacyRun and shardedCached cache run scaffolding across Run
-	// calls — worker pools, shards, metric sets, partition tables,
-	// arenas. A later Run with the same engine reuses and resets them
-	// instead of rebuilding, so steady-state re-runs allocate only
-	// per-run incidentals; a failed run drops its cache (its rings and
+	// cached is the run scaffolding kept across Run calls — the
+	// placement with its workers or shards, the metric set, partition
+	// tables, arenas. A later Run with the same engine reuses and
+	// resets it instead of rebuilding, so steady-state re-runs allocate
+	// only per-run incidentals; a failed run drops it (its rings and
 	// buffers may be in a partial state).
-	legacyRun     *run
-	shardedCached *shardedRun
+	cached *run
 }
 
 // execUnit is one instantiable query plan with its effective context
@@ -306,14 +315,14 @@ func (e *Engine) Run(src event.Source) (*Stats, error) {
 // collect derives the run's Stats from the run's metric objects —
 // the same objects a live /metrics scrape reads — so batch and
 // serving paths report identical numbers.
-func (e *Engine) collect(rm *runMetrics, workers []*worker, partitions int, wall time.Duration) *Stats {
+func (e *Engine) collect(rm *runMetrics, workers []*worker, wall time.Duration) *Stats {
 	st := &Stats{
 		Events:          rm.events.Value(),
 		Ticks:           rm.ticks.Value(),
 		Batches:         rm.batches.Value(),
 		ReclaimedChunks: rm.reclaims.Value(),
 		WallTime:        wall,
-		Partitions:      partitions,
+		Partitions:      int(rm.partitions.Value()),
 		PerType:         map[string]uint64{},
 		Contexts:        map[string]ContextStats{},
 	}

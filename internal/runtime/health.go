@@ -26,10 +26,10 @@ import (
 
 // runHealth is the probe-visible state of one run. It exists even
 // with no Config.Health (the stores are cheap and unconditional,
-// keeping the dispatch paths branch-free).
+// keeping the driver's tick branch-free).
 type runHealth struct {
 	// routed is the last tick handed to the execution units, written
-	// by the dispatch/router goroutine. MinInt64 = nothing routed.
+	// by the driver goroutine. MinInt64 = nothing routed.
 	routed atomic.Int64
 	done   atomic.Bool
 	// failMsg holds the run error's text once finished with one.

@@ -1,24 +1,28 @@
-// Ingest pipeline (DESIGN.md §3.4): batch decode on its own
-// goroutine, a bounded read-ahead ring to the dispatch loop, and
-// watermark-driven reclamation of the source's event slab arena.
+// The run driver (DESIGN.md §3.4): batch decode on its own goroutine,
+// a bounded read-ahead ring to the driver loop, one per-tick function
+// for live input and WAL replay alike, and watermark-driven
+// reclamation of the source's event slab arena. The driver is written
+// once; a placement — the worker pool (distributor.go) or the engine
+// shards (shard.go) — decides only where a tick's events execute and
+// how to wait for them.
 //
-// The watermark protocol has one writer and one reader. The dispatch
-// goroutine computes the safe reclamation bound after each batch —
-// it alone knows exactly what has been dispatched where — and
-// publishes it; the decode goroutine reads the published bound
-// before producing the next batch and tells the source's arena to
-// recycle every slab entirely below it. Workers participate with a
-// single atomic store per transaction message: the timestamp they
-// last completed. No per-event accounting exists anywhere.
+// The watermark protocol has one writer and one reader. The driver
+// goroutine computes the safe reclamation bound after each batch — it
+// alone knows exactly what has been routed where — and publishes it;
+// the decode goroutine reads the published bound before producing the
+// next batch and tells the source's arena to recycle every slab
+// entirely below it. Execution units participate with one atomic store
+// per executed tick: the progress mark they last completed. No
+// per-event accounting exists anywhere.
 //
-// Safety: a worker processes its messages in timestamp order, so its
-// unprocessed events all carry timestamps above its completed mark;
-// events dispatched after the bound was computed carry timestamps
-// above the last dispatched tick, which also caps the bound; and
-// pattern state (partials, negation buffers, pending matches) only
-// references events within 2·horizon of a completed transaction,
-// which the slack term covers. Aggregation and projection copy
-// attribute values, never retain event pointers.
+// Safety: a unit executes its ticks in timestamp order, so its
+// unexecuted events all carry timestamps above its completed mark;
+// events routed after the bound was computed carry timestamps above
+// the last routed tick, which also caps the bound; and pattern state
+// (partials, negation buffers, pending matches) only references events
+// within 2·horizon of a completed transaction, which the slack term
+// covers. Aggregation and projection copy attribute values, never
+// retain event pointers.
 package runtime
 
 import (
@@ -29,6 +33,7 @@ import (
 	"time"
 
 	"github.com/caesar-cep/caesar/internal/event"
+	"github.com/caesar-cep/caesar/internal/telemetry"
 )
 
 // defaultReadAhead is the read-ahead ring capacity in batches:
@@ -108,16 +113,67 @@ func (r *batchRing) release(b *event.Batch) {
 // abort unblocks both sides after a dispatch error.
 func (r *batchRing) abort() { close(r.done) }
 
-// run is one execution's mutable state on the legacy pipeline: the
-// metric set, the worker pool, the distributor, the read-ahead ring,
-// and the dispatch-side ordering and pacing state.
+// placement is where a run's ticks execute: the worker pool
+// (distributor) or the engine shards (router). Everything else about a
+// run — ordering, WAL, pacing, tracing decisions, checkpoints,
+// recovery, the watermark and health — is the driver's (run).
+type placement interface {
+	// start launches the execution goroutines on wg.
+	start(wg *sync.WaitGroup)
+	// route hands one tick's events toward their execution units,
+	// stamping arrival; sampled ticks carry stage spans.
+	route(ts event.Time, evs []*event.Event, arrival int64, sampled bool)
+	// flush hands over whatever route buffered.
+	flush()
+	// quiesce readies the checkpoint barrier at ts: after it, every
+	// unit's progress mark covers all work routed to it, and reaching
+	// the marks means every output at or below ts is delivered.
+	quiesce(ts event.Time)
+	// lookup finds or interns the partition a snapshot section
+	// restores into; each visits every interned partition.
+	lookup(key string) *partition
+	each(fn func(*partition))
+	// stop tells the execution goroutines to drain and exit.
+	stop()
+}
+
+// tickTrace is the driver's stage-tracing state: the tracer (nil = no
+// stage clocks at all) and the current batch's decode and queue-wait
+// stamps, attributed to every tick sampled out of the batch.
+// Placements read it when they span a sampled tick.
+type tickTrace struct {
+	stages   *telemetry.StageTracer
+	decodeNs int64
+	queueNs  int64
+}
+
+// routed stamps the driver-side stages on one sampled tick's span:
+// decode and queue wait from the batch, routing from arrival (the
+// route-start instant) to now, where ring wait starts.
+func (t *tickTrace) routed(sp *telemetry.Span, arrival, now int64) {
+	sp.Stamp(telemetry.StageDecode, t.decodeNs)
+	sp.Stamp(telemetry.StageQueue, t.queueNs)
+	sp.Stamp(telemetry.StageRoute, now-arrival)
+	sp.MarkAt(now)
+}
+
+// run is the run driver: one execution's ordering, pacing and
+// durability state, the metric set, the read-ahead ring and the
+// placement. It is cached on the Engine and rearmed across Run calls.
 type run struct {
 	e       *Engine
 	rm      *runMetrics
-	workers []*worker
-	wg      sync.WaitGroup
-	dist    *distributor
-	start   time.Time
+	place   placement
+	workers []*worker // every execution unit's worker, in unit order
+	unit    string    // health probe name: "workers" or "shards"
+
+	// wg tracks every goroutine of the run: decode, the execution
+	// units and the merger.
+	wg    sync.WaitGroup
+	ring  *batchRing
+	trace tickTrace
+	start time.Time
+	slack int64
 
 	appStart    event.Time
 	appStartSet bool
@@ -126,14 +182,10 @@ type run struct {
 
 	// watermark is the published reclamation bound: every event
 	// ending strictly before it is unreferenced. Written by the
-	// dispatch goroutine, read by the decode goroutine.
+	// driver goroutine, read by the decode goroutine.
 	watermark atomic.Int64
 
-	// ring is the read-ahead ring, rearmed (not rebuilt) across cached
-	// runs.
-	ring *batchRing
-
-	// health backs the run's /healthz probes (runtime health.go).
+	// health backs the run's /healthz probes (health.go).
 	health *runHealth
 
 	// dur is the run's durability context (durable.go); nil without
@@ -141,69 +193,152 @@ type run struct {
 	dur *durableState
 }
 
+// newRun builds the run scaffolding that survives across Run calls:
+// the metric set, the read-ahead ring, and the placement with its
+// workers — a pool of Config.Workers, or Config.Shards engine shards.
 func (e *Engine) newRun() *run {
-	r := e.legacyRun
-	if r == nil {
-		r = &run{e: e, rm: newRunMetrics(e, e.cfg.Workers), ring: newBatchRing()}
-		ring := r.ring
-		r.rm.ringDepth = func() int64 { return int64(len(ring.data)) }
-		r.workers = make([]*worker, e.cfg.Workers)
-		for i := range r.workers {
-			r.workers[i] = newWorker(e, i, r.rm)
+	n, unit := e.cfg.Workers, "workers"
+	if e.cfg.Shards > 1 {
+		n, unit = e.cfg.Shards, "shards"
+	}
+	rm := newRunMetrics(e, n)
+	r := &run{e: e, rm: rm, unit: unit, ring: newBatchRing(), slack: e.reclaimSlack()}
+	ring := r.ring
+	rm.ringDepth = func() int64 { return int64(len(ring.data)) }
+	r.trace.stages = rm.stages
+	if e.cfg.Shards > 1 {
+		rt := newRouter(e, rm, &r.trace)
+		for _, s := range rt.shards {
+			r.workers = append(r.workers, s.w)
 		}
-		r.dist = newDistributor(r.workers, e.cfg.PartitionBy)
-		r.dist.rm = r.rm
-		r.dist.stages = r.rm.stages
-		e.legacyRun = r
+		r.place = rt
+		return r
+	}
+	r.workers = make([]*worker, n)
+	for i := range r.workers {
+		// One message per tick: a worker may lag the distributor by
+		// 256 ticks before dispatch blocks on it.
+		r.workers[i] = newWorker(e, i, rm)
+		r.workers[i].ch = make(chan txnMsg, 256)
+	}
+	d := newDistributor(r.workers, e.cfg.PartitionBy)
+	d.rm, d.trace = rm, &r.trace
+	r.place = d
+	return r
+}
+
+// armRun readies the engine's cached run for one execution — or builds
+// it on first use — registers its metrics and health probes, and
+// starts the execution units.
+func (e *Engine) armRun() *run {
+	r := e.cached
+	if r == nil {
+		r = e.newRun()
+		e.cached = r
 	} else {
 		r.reset()
 	}
 	r.start = time.Now()
-	spawn := func(w *worker) {
-		defer r.wg.Done()
-		w.loop()
-	}
-	for _, w := range r.workers {
-		r.wg.Add(1)
-		go spawn(w)
-	}
-	r.rm.register(e.cfg.Telemetry, e, r.workers)
 	r.watermark.Store(math.MinInt64)
+	r.rm.register(e.cfg.Telemetry, e, r.workers)
 	if e.cfg.Health != nil || r.health == nil {
-		workers := r.workers
-		r.health = registerRunHealth(e.cfg.Health, "workers",
-			func() int64 {
-				max := int64(math.MinInt64)
-				for _, w := range workers {
-					if c := w.completed.Load(); c > max {
-						max = c
-					}
-				}
-				return max
-			},
-			func() int64 {
-				var n int64
-				for _, w := range workers {
-					n += w.queueDepth()
-				}
-				return n
-			})
+		r.health = registerRunHealth(e.cfg.Health, r.unit, r.furthest, r.backlog)
 	} else {
 		r.health.reset()
 	}
+	r.place.start(&r.wg)
 	return r
 }
 
-// dispatchTick paces (when configured) and dispatches one tick.
-// Pacing lives here, on the dispatch side, so the decode goroutine
-// keeps parsing ahead during replay gaps. With durability on, the
-// tick's batch is appended to the WAL before any worker sees it —
-// except during recovery replay, when the tick is already logged and
-// pacing, checkpointing and fault injection are suppressed.
-func (r *run) dispatchTick(ts event.Time, evs []*event.Event) error {
+// reset rearms a cached run for its next execution: metrics rewound,
+// progress marks and partition state restored to their pre-run
+// condition. The partition tables and all buffer capacity are
+// retained — that retention is what run reuse amortizes. Only called
+// after a clean run (a failed run drops the cache).
+func (r *run) reset() {
+	r.rm.reset()
+	r.ring.arm()
+	r.appStartSet, r.haveLast = false, false
+	r.trace.decodeNs, r.trace.queueNs = 0, 0
+	for _, w := range r.workers {
+		w.resetForRun()
+	}
+	r.place.each(func(p *partition) {
+		p.batch = nil
+		if p.state != nil {
+			p.state.reset(r.e)
+		}
+	})
+}
+
+// furthest reports the furthest tick any execution unit has fully
+// executed (MinInt64 before any) for the watermark probe.
+func (r *run) furthest() int64 {
+	max := int64(math.MinInt64)
+	for _, w := range r.workers {
+		if c := w.completed.Load(); c > max {
+			max = c
+		}
+	}
+	return max
+}
+
+// backlog reports the work queued at the execution units.
+func (r *run) backlog() int64 {
+	var n int64
+	for _, w := range r.workers {
+		n += w.queueDepth()
+	}
+	return n
+}
+
+// routeBatch splits a batch into its ticks (runs of equal occurrence
+// end time), runs each through tick, and hands the buffered grants
+// over once per batch.
+func (r *run) routeBatch(b *event.Batch) error {
+	evs := b.Events
+	for i := 0; i < len(evs); {
+		ts := evs[i].End()
+		j := i + 1
+		for j < len(evs) && evs[j].End() == ts {
+			j++
+		}
+		if err := r.tick(ts, evs[i:j], i == 0, true); err != nil {
+			return err
+		}
+		i = j
+	}
+	r.place.flush()
+	return nil
+}
+
+// tick is the driver's one per-tick step, enforcing the §6.2 ordering
+// contract and the batch protocol's tick alignment (batchStart: the
+// tick opens its batch). Ticks at or below the durability recovery
+// point are dropped before the ordering checks: a recovered run
+// re-feeds the stream from the start, and those ticks are below the
+// replayed lastTS by design. live is false while recovery replays the
+// WAL: the tick is already logged, so there is no WAL append, pacing,
+// stage span or checkpoint, and it reaches the units on its own.
+func (r *run) tick(ts event.Time, evs []*event.Event, batchStart, live bool) error {
 	ds := r.dur
-	live := ds == nil || !ds.replaying
+	if ds.skipTick(ts) {
+		return nil
+	}
+	if r.haveLast {
+		if ts < r.lastTS {
+			return fmt.Errorf("runtime: out-of-order event %v after t=%d", evs[0], r.lastTS)
+		}
+		if ts == r.lastTS && batchStart {
+			// Two same-timestamp transactions per partition would
+			// apply context transitions mid-tick.
+			return fmt.Errorf("runtime: batch source split tick t=%d across batches", ts)
+		}
+	}
 	if ds != nil && live {
+		// The tick is durable before any unit sees it (redo-log
+		// ordering); the crash hook models a failure at exactly this
+		// boundary.
 		if ct := r.e.cfg.testCrashTick; ct > 0 && int64(ts) >= ct {
 			return errSimulatedCrash
 		}
@@ -211,52 +346,36 @@ func (r *run) dispatchTick(ts event.Time, evs []*event.Event) error {
 			return err
 		}
 	}
+	if !live {
+		ds.replayed.Inc()
+	}
+	r.rm.events.Add(uint64(len(evs)))
 	r.rm.ticks.Inc()
-	if p := r.e.cfg.Pacing; p > 0 && live {
+	// Pacing lives here, on the driver side, so the decode goroutine
+	// keeps parsing ahead during replay gaps.
+	paced := live && r.e.cfg.Pacing > 0
+	if paced {
 		if !r.appStartSet {
 			r.appStart, r.appStartSet = ts, true
 		}
-		target := r.start.Add(time.Duration(ts-r.appStart) * p)
+		target := r.start.Add(time.Duration(ts-r.appStart) * r.e.cfg.Pacing)
 		if d := time.Until(target); d > 0 {
 			time.Sleep(d)
 		}
 	}
-	r.dist.dispatch(ts, evs, time.Now().UnixNano())
+	sampled := live && r.trace.stages.SampleTick()
+	r.place.route(ts, evs, time.Now().UnixNano(), sampled)
+	if paced || !live {
+		// Real-time delivery granularity; a replayed tick has no
+		// batch to ride with.
+		r.place.flush()
+	}
+	r.lastTS, r.haveLast = ts, true
 	r.health.routed.Store(int64(ts))
 	if ds != nil && live {
 		return r.maybeCheckpoint(ts)
 	}
 	return nil
-}
-
-// reset rearms a cached run for its next execution: metrics rewound,
-// workers and partition state restored to their pre-run condition.
-// The partition table and all buffer capacity are retained — that
-// retention is what run reuse amortizes. Only called after a clean
-// run (a failed run drops the cache).
-func (r *run) reset() {
-	r.rm.reset()
-	r.ring.arm()
-	r.appStartSet = false
-	r.haveLast = false
-	for _, w := range r.workers {
-		w.resetForRun()
-	}
-	for _, p := range r.dist.table {
-		p.batch = nil
-		if p.state != nil {
-			p.state.reset(r.e)
-		}
-	}
-}
-
-// shutdown stops the workers with a sentinel message (the channels
-// stay open so a cached run can reuse them) and waits for drain.
-func (r *run) shutdown() {
-	for _, w := range r.workers {
-		w.ch <- txnMsg{}
-	}
-	r.wg.Wait()
 }
 
 // finish surfaces the run error or the source's deferred error, then
@@ -274,13 +393,13 @@ func (r *run) finish(src any, runErr error) (*Stats, error) {
 	}
 	r.health.finish(runErr)
 	if runErr != nil {
-		// An aborted run can leave transactions stranded in worker
-		// buffers; drop the scaffolding rather than reason about its
-		// partial state.
-		r.e.legacyRun = nil
+		// An aborted run can leave work stranded in worker buffers or
+		// between the router and the rings; drop the scaffolding
+		// rather than reason about its partial state.
+		r.e.cached = nil
 		return nil, runErr
 	}
-	st := r.e.collect(r.rm, r.workers, len(r.dist.table), time.Since(r.start))
+	st := r.e.collect(r.rm, r.workers, time.Since(r.start))
 	if r.dur != nil {
 		st.ReplayedTicks = r.dur.replayed.Value()
 	}
@@ -290,14 +409,15 @@ func (r *run) finish(src any, runErr error) (*Stats, error) {
 // startDecode launches the decode goroutine: it fills recycled batch
 // structs from src behind the read-ahead ring, reclaiming the
 // source's event arena below the published watermark before each
-// batch. Shared by the legacy and sharded pipelines. With stage
-// tracing on, each batch carries its decode duration and ring-entry
-// instant (two clock reads per batch — never per event).
-func startDecode(ring *batchRing, src event.BatchSource, rec event.Reclaimer, watermark *atomic.Int64, rm *runMetrics, wg *sync.WaitGroup) {
+// batch. With stage tracing on, each batch carries its decode duration
+// and ring-entry instant (two clock reads per batch — never per
+// event).
+func (r *run) startDecode(src event.BatchSource, rec event.Reclaimer) {
+	ring, rm := r.ring, r.rm
 	traced := rm.stages != nil
-	wg.Add(1)
+	r.wg.Add(1)
 	go func() {
-		defer wg.Done()
+		defer r.wg.Done()
 		defer close(ring.data)
 		for {
 			b, ok := ring.acquire()
@@ -305,7 +425,7 @@ func startDecode(ring *batchRing, src event.BatchSource, rec event.Reclaimer, wa
 				return
 			}
 			if rec != nil {
-				if wm := watermark.Load(); wm > math.MinInt64 {
+				if wm := r.watermark.Load(); wm > math.MinInt64 {
 					if freed := rec.ReclaimBefore(event.Time(wm)); freed > 0 {
 						rm.reclaims.Add(uint64(freed))
 					}
@@ -332,101 +452,58 @@ func startDecode(ring *batchRing, src event.BatchSource, rec event.Reclaimer, wa
 
 // RunBatches executes the engine over a batch source with decode
 // overlapped behind the read-ahead ring. Most callers use Run, which
-// routes batch-capable sources here. With Shards > 1 the run executes
-// on the sharded runtime (shard.go); otherwise on the legacy
-// distributor + worker pool.
+// routes batch-capable sources here. With Shards > 1 the ticks execute
+// on the engine shards (shard.go), otherwise on the distributor +
+// worker pool; the driver is the same.
 func (e *Engine) RunBatches(src event.BatchSource) (*Stats, error) {
-	if e.cfg.Shards > 1 {
-		return e.runSharded(src)
-	}
-	r := e.newRun()
+	r := e.armRun()
 	ring := r.ring
 	rec, _ := src.(event.Reclaimer)
-	slack := e.reclaimSlack()
 
 	// Recovery runs before the decode stage starts: restore the latest
-	// snapshot, re-dispatch the WAL tail through dispatchTick, then
-	// open the WAL for this run's appends.
+	// snapshot, replay the WAL tail through tick (the units are already
+	// consuming), then open the WAL for this run's appends.
+	var runErr error
 	if e.cfg.DurableDir != "" {
-		if err := r.openDurable(); err != nil {
-			r.shutdown()
-			return r.finish(src, err)
-		}
+		runErr = r.openDurable()
+	}
+	if runErr == nil {
+		r.startDecode(src, rec)
+	} else {
+		close(ring.data)
 	}
 
-	var decodeWG sync.WaitGroup
-	startDecode(ring, src, rec, &r.watermark, r.rm, &decodeWG)
-
-	traced := r.rm.stages != nil
-	var runErr error
+	traced := r.trace.stages != nil
 	for b := range ring.data {
 		r.rm.batches.Inc()
 		if traced {
 			// The batch's queue wait and decode time attach to every
 			// tick sampled out of it (batch-level attribution).
-			r.dist.decodeNs = b.DecodeNs
-			r.dist.queueNs = time.Now().UnixNano() - b.ReadyNs
+			r.trace.decodeNs = b.DecodeNs
+			r.trace.queueNs = time.Now().UnixNano() - b.ReadyNs
 		}
-		if runErr = r.dispatchBatch(b); runErr != nil {
+		if runErr = r.routeBatch(b); runErr != nil {
 			ring.abort()
 			break
 		}
 		ring.release(b)
 		if rec != nil {
-			r.publishWatermark(slack)
+			r.publishWatermark()
 		}
 	}
 	for range ring.data { // drain after abort so the decoder unblocks
 	}
-	decodeWG.Wait()
-	r.shutdown()
+	r.place.stop()
+	r.wg.Wait()
 	return r.finish(src, runErr)
 }
 
-// dispatchBatch splits a batch into its ticks (runs of equal
-// occurrence end time) and dispatches each, enforcing the §6.2
-// ordering contract and the batch protocol's tick alignment. Ticks at
-// or below the durability recovery point are dropped before the
-// ordering checks: a recovered run re-feeds the stream from the
-// start, and those ticks are below the replayed lastTS by design.
-func (r *run) dispatchBatch(b *event.Batch) error {
-	evs := b.Events
-	for i := 0; i < len(evs); {
-		ts := evs[i].End()
-		j := i + 1
-		for j < len(evs) && evs[j].End() == ts {
-			j++
-		}
-		if r.dur.skipTick(ts) {
-			i = j
-			continue
-		}
-		if r.haveLast {
-			if ts < r.lastTS {
-				return fmt.Errorf("runtime: out-of-order event %v after t=%d", evs[i], r.lastTS)
-			}
-			if ts == r.lastTS && i == 0 {
-				// Two same-timestamp transactions per partition would
-				// apply context transitions mid-tick.
-				return fmt.Errorf("runtime: batch source split tick t=%d across batches", ts)
-			}
-		}
-		r.rm.events.Add(uint64(j - i))
-		if err := r.dispatchTick(ts, evs[i:j]); err != nil {
-			return err
-		}
-		r.lastTS, r.haveLast = ts, true
-		i = j
-	}
-	return nil
-}
-
 // publishWatermark advances the reclamation bound. The minimum runs
-// over the last dispatched tick and the completed mark of every
-// worker that still holds undispatched-into-it work (sentTS is
-// dispatcher-owned, so "holds work" is exact here; a lagging
-// completed read only makes the bound conservative).
-func (r *run) publishWatermark(slack int64) {
+// over the last routed tick and the completed mark of every unit that
+// still holds routed-but-unexecuted work (sentTS is driver-owned, so
+// "holds work" is exact here; a lagging completed read only makes the
+// bound conservative).
+func (r *run) publishWatermark() {
 	if !r.haveLast {
 		return
 	}
@@ -439,7 +516,7 @@ func (r *run) publishWatermark(slack int64) {
 	if min == math.MinInt64 {
 		return
 	}
-	if wm := min - slack; wm > r.watermark.Load() {
+	if wm := min - r.slack; wm > r.watermark.Load() {
 		r.watermark.Store(wm)
 	}
 }

@@ -148,7 +148,7 @@ func (m *outputMerger) loop() {
 				continue
 			}
 			alive = true
-			if c := s.completed.Load(); c < safe {
+			if c := s.w.completed.Load(); c < safe {
 				safe = c
 			}
 		}

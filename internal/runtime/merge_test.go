@@ -24,7 +24,7 @@ func newMergeHarness(n int) *mergeHarness {
 	h := &mergeHarness{}
 	for i := 0; i < n; i++ {
 		s := &engineShard{id: i, w: &worker{}}
-		s.completed.Store(math.MinInt64)
+		s.w.completed.Store(math.MinInt64)
 		h.shards = append(h.shards, s)
 	}
 	h.m = newOutputMerger(h.shards, func(e *event.Event) {
@@ -91,7 +91,7 @@ func TestMergeReleaseRule(t *testing.T) {
 	// Shard 0 races ahead: executes and flushes ticks 1 and 2.
 	h.flush(0, 1, nil)
 	h.flush(0, 2, nil)
-	h.shards[0].completed.Store(2)
+	h.shards[0].w.completed.Store(2)
 	h.m.wake()
 
 	// Shard 1 has completed nothing, so nothing may be released —
@@ -104,7 +104,7 @@ func TestMergeReleaseRule(t *testing.T) {
 	// Shard 1 completes tick 1: exactly tick 1 releases, shard 0's
 	// run first, then shard 1's (tie broken by shard id).
 	h.flush(1, 1, nil)
-	h.shards[1].completed.Store(1)
+	h.shards[1].w.completed.Store(1)
 	got := h.waitReleased(t, 2)
 	for i, want := range []struct {
 		ts    event.Time
@@ -161,7 +161,7 @@ func TestMergeStampsSpanAtRelease(t *testing.T) {
 	sp = tr.Start(8, 0)
 	sp.MarkAt(time.Now().UnixNano())
 	h.flush(0, 8, sp)
-	h.shards[0].completed.Store(8)
+	h.shards[0].w.completed.Store(8)
 	h.m.wake()
 	h.waitReleased(t, 1)
 	h.shards[0].done.Store(true)

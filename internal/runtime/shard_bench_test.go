@@ -1,10 +1,8 @@
 package runtime
 
 import (
-	"math"
 	gort "runtime"
 	"testing"
-	"time"
 
 	"github.com/caesar-cep/caesar/internal/event"
 	"github.com/caesar-cep/caesar/internal/model"
@@ -19,7 +17,7 @@ import (
 // one slice append, so it bounds the design's serial fraction. Must
 // report 0 allocs/op.
 func BenchmarkShardRouter(b *testing.B) {
-	r := &shardedRun{
+	r := &router{
 		keyer:  newKeyer([]string{"xway", "dir", "seg"}),
 		shards: make([]*engineShard, 4),
 		smask:  powerOfTwoMask(4),
@@ -66,34 +64,10 @@ func BenchmarkEngineShardedTraced(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	// The routing + shard plumbing of runSharded, without the ingest
-	// goroutine: the benchmark loop plays the router, re-timing one
-	// preallocated tick per iteration.
-	rm := newRunMetrics(eng, nShards)
-	r := &shardedRun{
-		e:       eng,
-		rm:      rm,
-		keyer:   newKeyer(eng.cfg.PartitionBy),
-		smask:   powerOfTwoMask(nShards),
-		pending: make([]*shardMsg, nShards),
-		start:   time.Now(),
-		slack:   eng.reclaimSlack(),
-		stages:  rm.stages,
-	}
-	r.ctrlShard = pickIdx(fnv1a(controlKey), nShards, r.smask)
-	r.watermark.Store(math.MinInt64)
-	r.health = registerRunHealth(nil, "shards", func() int64 { return 0 }, func() int64 { return 0 })
-	r.shards = make([]*engineShard, nShards)
-	for i := range r.shards {
-		r.shards[i] = newEngineShard(eng, i, rm)
-	}
-	for _, s := range r.shards {
-		r.wg.Add(1)
-		go func(s *engineShard) {
-			defer r.wg.Done()
-			s.loop()
-		}(s)
-	}
+	// The run driver and shard placement of RunBatches, without the
+	// ingest goroutine: the benchmark loop feeds the driver, re-timing
+	// one preallocated tick per iteration.
+	r := eng.armRun()
 
 	sch, ok := m.Registry.Lookup("PositionReport")
 	if !ok {
@@ -115,8 +89,8 @@ func BenchmarkEngineShardedTraced(b *testing.B) {
 	// them while a shard still reads them; each op therefore measures
 	// the full route → ring → execute traversal of one tick.
 	await := func(ts event.Time) {
-		for _, s := range r.shards {
-			for s.sentTS == int64(ts) && s.completed.Load() < int64(ts) {
+		for _, w := range r.workers {
+			for w.sentTS == int64(ts) && w.completed.Load() < int64(ts) {
 				gort.Gosched()
 			}
 		}
@@ -146,9 +120,7 @@ func BenchmarkEngineShardedTraced(b *testing.B) {
 		await(ts)
 	}
 	b.StopTimer()
-	for _, s := range r.shards {
-		s.in.close()
-	}
+	r.place.stop()
 	r.wg.Wait()
 
 	b.ReportMetric(tickSize, "events/op")

@@ -147,8 +147,8 @@ func shardEngine(t testing.TB, src string, shards int) (*Engine, *model.Model) {
 // --- sharded differential -------------------------------------------
 
 // TestShardedMatchesLegacy is the tentpole differential: for several
-// shard counts, the sharded runtime must reproduce the legacy
-// pipeline's outputs and statistics exactly. Run under -race this is
+// shard counts, the sharded runtime must reproduce the worker
+// pool's outputs and statistics exactly. Run under -race this is
 // also the stress test of the ring hand-off, the per-shard completed
 // marks and the watermark publication.
 func TestShardedMatchesLegacy(t *testing.T) {
@@ -182,7 +182,7 @@ func TestShardedMatchesLegacy(t *testing.T) {
 			// The sharded run reclaims arena slabs behind the same
 			// watermark protocol (400 ticks span 12 000 time units
 			// against a ~600-unit slack; shard completion is published
-			// inline, so unlike the legacy pool this holds on one P).
+			// inline, so unlike the worker pool this holds on one P).
 			if st.ReclaimedChunks == 0 {
 				t.Error("sharded watermark never reclaimed a slab")
 			}
@@ -223,7 +223,7 @@ func TestShardedOrderedOutput(t *testing.T) {
 	}
 }
 
-// TestShardedOrderingErrors mirrors the legacy protocol tests on the
+// TestShardedOrderingErrors mirrors the pool's protocol tests on the
 // sharded router: disorder and split ticks abort the run.
 func TestShardedOrderingErrors(t *testing.T) {
 	eng, m := shardEngine(t, trafficSrc, 2)

@@ -16,15 +16,15 @@ import (
 // Layout follows the writers: per-worker metrics are written by
 // exactly one goroutine each (no contention, no false sharing — each
 // workerMetrics is its own allocation); engine-level metrics are
-// either single-writer (events/ticks/partitions belong to the Run
-// goroutine) or written on cold paths (context transitions) and
-// per-derived-event paths (output latency, per-type counts), where
+// either single-writer (events/ticks belong to the driver goroutine)
+// or written on cold paths (context transitions, partition interning)
+// and per-derived-event paths (output latency, per-type counts), where
 // cross-worker contention is bounded by the output rate, not the
 // input rate.
 type runMetrics struct {
-	events     telemetry.Counter // input events (Run goroutine)
-	ticks      telemetry.Counter // dispatched ticks (Run goroutine)
-	partitions telemetry.Gauge   // interned partitions (Run goroutine)
+	events     telemetry.Counter // input events (driver goroutine)
+	ticks      telemetry.Counter // dispatched ticks (driver goroutine)
+	partitions telemetry.Gauge   // interned partitions (partition tables)
 
 	// Ingest pipeline metrics: batches dispatched (dispatch
 	// goroutine), arena slabs reclaimed (decode goroutine), and the
@@ -249,6 +249,6 @@ func registerShardMetrics(reg *telemetry.Registry, shards []*engineShard) {
 		reg.Register("caesar_shard_partitions", "stream partitions owned by the shard",
 			telemetry.GaugeFunc(s.parts.Load), lbl)
 		reg.Register("caesar_shard_completed_tick", "last application tick fully executed by the shard",
-			telemetry.GaugeFunc(s.completed.Load), lbl)
+			telemetry.GaugeFunc(s.w.completed.Load), lbl)
 	}
 }

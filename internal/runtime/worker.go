@@ -38,14 +38,9 @@ type worker struct {
 	wm    *workerMetrics
 	timed bool
 
-	// completed publishes the timestamp of the last fully processed
-	// transaction message; the ingest watermark (ingest.go) reads it
-	// to bound slab reclamation. MinInt64 = nothing completed yet.
-	completed atomic.Int64
-	// sentTS is the timestamp last dispatched to this worker. It is
-	// owned by the dispatch goroutine (written in dispatch, read in
-	// publishWatermark); the worker never touches it.
-	sentTS int64
+	// progress is the execution unit's mark: on the pool this worker
+	// publishes completed itself, in shard mode its engine shard does.
+	progress
 
 	// shard is set when this worker is the execution half of an
 	// engine shard (DESIGN.md §3.6); ch is nil then and transactions
@@ -74,26 +69,39 @@ type worker struct {
 	collected []*event.Event
 }
 
-func newWorker(e *Engine, id int, rm *runMetrics) *worker {
-	w := newShardWorker(e, id, rm)
-	w.ch = make(chan txnMsg, 256)
-	w.completed.Store(math.MinInt64)
-	return w
+// progress is one execution unit's position in application time —
+// the one mark the watermark, the checkpoint barrier, the health probes
+// and the ordered merger read, whatever the placement.
+type progress struct {
+	// completed publishes the last fully executed tick (MinInt64 =
+	// nothing yet); written by the unit's goroutine only.
+	completed atomic.Int64
+	// sentTS is the last tick routed to the unit, owned by the driver
+	// goroutine: the unit holds unexecuted work exactly while
+	// completed < sentTS.
+	sentTS int64
 }
 
-// newShardWorker builds a worker without a hand-off channel: the
-// owning engineShard drives it inline from its own goroutine.
-func newShardWorker(e *Engine, id int, rm *runMetrics) *worker {
-	return &worker{
-		eng:    e,
-		id:     id,
-		rm:     rm,
-		wm:     rm.workers[id],
-		timed:  rm.detail,
-		sentTS: math.MinInt64,
-		arena:  event.NewArena(e.cfg.DerivedChunkEvents),
-		slack:  e.reclaimSlack(),
+func (p *progress) reset() {
+	p.completed.Store(math.MinInt64)
+	p.sentTS = math.MinInt64
+}
+
+// newWorker builds a worker without a hand-off channel: an engine
+// shard drives it inline from its own goroutine, and the pool adds
+// the channel its worker loop receives from.
+func newWorker(e *Engine, id int, rm *runMetrics) *worker {
+	w := &worker{
+		eng:   e,
+		id:    id,
+		rm:    rm,
+		wm:    rm.workers[id],
+		timed: rm.detail,
+		arena: event.NewArena(e.cfg.DerivedChunkEvents),
+		slack: e.reclaimSlack(),
 	}
+	w.progress.reset()
+	return w
 }
 
 // reclaimDerived recycles derived-event slabs entirely below bound
@@ -113,8 +121,7 @@ func (w *worker) reclaimDerived(bound int64) {
 // partition state has been reset alongside).
 func (w *worker) resetForRun() {
 	w.wallNow = 0
-	w.sentTS = math.MinInt64
-	w.completed.Store(math.MinInt64)
+	w.progress.reset()
 	for i := range w.collected {
 		w.collected[i] = nil
 	}
@@ -124,8 +131,8 @@ func (w *worker) resetForRun() {
 }
 
 // queueDepth is the worker's backlog for the live queue-depth gauge:
-// queued transaction messages on the legacy pool, ring occupancy in
-// shard mode.
+// queued transaction messages on the pool, ring occupancy in shard
+// mode.
 func (w *worker) queueDepth() int64 {
 	if w.ch != nil {
 		return int64(len(w.ch))
@@ -168,8 +175,8 @@ func (w *worker) putTxnBuf(b *txnBuf) {
 func (w *worker) loop() {
 	for msg := range w.ch {
 		if msg.buf == nil {
-			// Shutdown sentinel (run.shutdown): the channel stays open
-			// so a cached run can reuse it.
+			// Shutdown sentinel (distributor.stop): the channel stays
+			// open so a cached run can reuse it.
 			return
 		}
 		w.wallNow = 0

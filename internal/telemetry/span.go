@@ -52,7 +52,7 @@ const (
 	// before the dispatch/router stage popped it.
 	StageQueue
 	// StageRoute is partition key rendering, hashing and grant/batch
-	// building on the router (sharded) or distributor (legacy) stage.
+	// building on the router (shards) or distributor (pool) stage.
 	StageRoute
 	// StageRingWait is queue time: from grant hand-off until the
 	// owning shard (or worker) starts executing the tick.

@@ -112,10 +112,11 @@ check_alloc_ceiling 'BenchmarkEngineContextAware$' . 7000
 # must hit the one recorded toll fingerprint; the shared-run automaton
 # must stay emission-identical to the pre-arena reference kernel
 # (refPattern) and the brute-force enumerator; chained derived events
-# must survive slab recycling; and cached-run reuse must reproduce a
-# run exactly (DESIGN.md §3.4-§3.8).
+# must survive slab recycling; cached-run reuse must reproduce a run
+# exactly (DESIGN.md §3.4-§3.8); and the run driver must trace no
+# replayed tick and reap every goroutine it starts.
 echo "== go test -race (toll fingerprint, kernel, arena and reuse differentials)"
-go test -race -count=2 -run 'TestTollFingerprint|TestIngestPathsByteIdentical|TestShardedTollByteIdentical|TestDerivedArenaTollByteIdentical|TestKernelDifferentialFuzz|TestPatternKernelEquivalence|TestPatternMatchesBruteForce|TestDerivedChainSurvivesReclamation|TestRunReuseIdenticalOutputs|TestShardedMatchesLegacy|TestShardedOrderedOutput|TestSpscRing' . ./internal/algebra/ ./internal/runtime/
+go test -race -count=2 -run 'TestTollFingerprint|TestIngestPathsByteIdentical|TestShardedTollByteIdentical|TestDerivedArenaTollByteIdentical|TestKernelDifferentialFuzz|TestPatternKernelEquivalence|TestPatternMatchesBruteForce|TestDerivedChainSurvivesReclamation|TestRunReuseIdenticalOutputs|TestShardedMatchesLegacy|TestShardedOrderedOutput|TestSpscRing|TestReplayedTicksUntraced|TestRunLeavesNoGoroutines' . ./internal/algebra/ ./internal/runtime/
 
 # The engine never sizes itself from GOMAXPROCS, so the runtime and the
 # root differentials must pass the same way on one, two and eight cores.
@@ -140,10 +141,12 @@ go test -race -count=2 ./internal/durability/ ./internal/wire/
 # cores: lockstep clients must receive each tick's derived lines
 # before sending more (TCP on both runtimes, and stdin/stdout), a
 # stalled reader loses nothing, and a dead client ends its session.
-echo "== go test -race (output path: lockstep latency, dead client)"
+# Beside it, a CLI run killed mid-stream on two shards must resume
+# through the driver's one recovery path.
+echo "== go test -race (output path: lockstep latency, dead client; kill-resume)"
 for procs in 1 2; do
     GOMAXPROCS=$procs go test -race -count=3 ./internal/server/
-    GOMAXPROCS=$procs go test -race -count=3 -run 'TestLockstepOutputPipes' ./cmd/caesar/
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestLockstepOutputPipes|TestDurableKillResume' ./cmd/caesar/
 done
 
 echo "== ci OK"
