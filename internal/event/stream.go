@@ -220,6 +220,7 @@ type Reader struct {
 	done bool
 
 	arena       *Arena
+	last        *Schema // the previous line's schema, tried before byName
 	peek        *Event
 	epoch       uint64
 	batchEvents int
@@ -372,7 +373,10 @@ func (r *Reader) ArenaChunks() (chunks, reclaimed int) {
 // Err returns the first decoding or I/O error encountered.
 func (r *Reader) Err() error { return r.err }
 
-// decode parses one trimmed, non-empty line. With a non-nil arena the
+// decode parses one trimmed, non-empty line in a single walk guided by
+// the schema: each int field is parsed in place up to the next '|',
+// other kinds go through parseValue on their token, and arity is
+// checked by running out of fields or bytes. With a non-nil arena the
 // event and its Values array are carved from slabs; string and float
 // attribute values still copy onto the heap, deliberately, because
 // derived events may retain them past slab reclamation.
@@ -381,44 +385,81 @@ func (r *Reader) decode(line []byte, a *Arena) (*Event, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("expected TypeName|time|values..., got %q", line)
 	}
-	schema, ok := r.reg.byName[string(line[:i])] // no-alloc map lookup
-	if !ok {
-		return nil, fmt.Errorf("unknown event type %q", line[:i])
+	s := r.last
+	if s == nil || s.name != string(line[:i]) {
+		var ok bool
+		if s, ok = r.reg.byName[string(line[:i])]; !ok { // no-alloc map lookup
+			return nil, fmt.Errorf("unknown event type %q", line[:i])
+		}
+		r.last = s
 	}
-	rest := line[i+1:]
-	var tf, vals []byte
-	nvals := 0
-	if j := bytes.IndexByte(rest, '|'); j >= 0 {
-		tf, vals = rest[:j], rest[j+1:]
-		nvals = bytes.Count(vals, sep) + 1
-	} else {
-		tf = rest
+	tf, vals := line[i+1:], []byte(nil)
+	if j := bytes.IndexByte(tf, '|'); j >= 0 {
+		tf, vals = tf[:j], tf[j+1:]
 	}
 	iv, err := parseInterval(tf)
 	if err != nil {
 		return nil, err
 	}
-	if nvals != schema.NumFields() {
-		return nil, fmt.Errorf("%s expects %d values, got %d", schema.Name(), schema.NumFields(), nvals)
+	n := len(s.fields)
+	if (vals == nil) != (n == 0) { // the walk cannot see a missing or stray value list
+		return nil, decodeErr(s, vals, 0, 0)
 	}
 	var e *Event
 	if a != nil {
-		e = a.Alloc(schema, iv, nvals)
+		e = a.Alloc(s, iv, n)
 	} else {
-		e = &Event{Schema: schema, Time: iv, Values: make([]Value, nvals)}
+		e = &Event{Schema: s, Time: iv, Values: make([]Value, n)}
 	}
-	for i := 0; i < nvals; i++ {
-		raw := vals
-		if k := bytes.IndexByte(vals, '|'); k >= 0 {
-			raw, vals = vals[:k], vals[k+1:]
+	p := 0 // start of field f's token in vals
+	for f := 0; f < n; f++ {
+		var end int
+		if k := s.fields[f].Kind; k == KindInt {
+			v, m, ok := scanInt(vals[p:])
+			end = p + m
+			if !ok || (end < len(vals) && vals[end] != '|') {
+				return nil, decodeErr(s, vals, f, p)
+			}
+			e.Values[f] = Int64(v)
+		} else {
+			end = len(vals)
+			if j := bytes.IndexByte(vals[p:], '|'); j >= 0 {
+				end = p + j
+			}
+			v, err := parseValue(k, vals[p:end])
+			if err != nil {
+				return nil, decodeErr(s, vals, f, p)
+			}
+			e.Values[f] = v
 		}
-		v, err := parseValue(schema.Field(i).Kind, raw)
-		if err != nil {
-			return nil, fmt.Errorf("%s.%s: %w", schema.Name(), schema.Field(i).Name, err)
+		// end is at a '|' or at the end of vals: the last field must
+		// end the line, every other field must not.
+		if (end == len(vals)) != (f == n-1) {
+			return nil, decodeErr(s, vals, f, p)
 		}
-		e.Values[i] = v
+		p = end + 1
 	}
 	return e, nil
+}
+
+// decodeErr builds the error for a line of schema s whose walk failed
+// at field f, whose token starts at vals[p]. Arity takes precedence
+// over the value, so the values are counted here, off the success
+// path; when the count matches, field f's token is what failed.
+func decodeErr(s *Schema, vals []byte, f, p int) error {
+	got := 0
+	if vals != nil {
+		got = bytes.Count(vals, sep) + 1
+	}
+	if got != len(s.fields) {
+		return fmt.Errorf("%s expects %d values, got %d", s.Name(), len(s.fields), got)
+	}
+	raw := vals[p:]
+	if k := bytes.IndexByte(raw, '|'); k >= 0 {
+		raw = raw[:k]
+	}
+	_, err := parseValue(s.fields[f].Kind, raw)
+	return fmt.Errorf("%s.%s: %w", s.Name(), s.fields[f].Name, err)
 }
 
 var sep = []byte{'|'}
@@ -469,43 +510,43 @@ func parseValue(k Kind, raw []byte) (Value, error) {
 	}
 }
 
-// parseInt is an allocation-free base-10 int64 parser with overflow
-// checking, accepting an optional leading sign (the subset of
-// strconv.ParseInt the wire format produces).
+// parseInt parses a whole token with scanInt.
 func parseInt(b []byte) (int64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
+	v, n, ok := scanInt(b)
+	return v, ok && n == len(b)
+}
+
+// scanInt is an allocation-free base-10 int64 parser with overflow
+// checking, accepting an optional leading sign (the subset of
+// strconv.ParseInt the wire format produces). It parses from the
+// front of b and stops at the first byte that is not a digit,
+// returning the value and the bytes consumed; ok is false when there
+// is no digit or the value overflows.
+func scanInt(b []byte) (v int64, n int, ok bool) {
 	neg := false
-	switch b[0] {
-	case '+':
-		b = b[1:]
-	case '-':
-		neg = true
-		b = b[1:]
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg = b[0] == '-'
+		n = 1
 	}
-	if len(b) == 0 {
-		return 0, false
+	first := n // the first digit's index
+	var u uint64
+	for ; n < len(b); n++ {
+		d := b[n] - '0'
+		if d > 9 {
+			break
+		}
+		if u > (1<<63)/10 {
+			return 0, n, false
+		}
+		if u = u*10 + uint64(d); u > 1<<63 {
+			return 0, n, false
+		}
 	}
-	var n uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		d := uint64(c - '0')
-		if n > (1<<64-1-d)/10 {
-			return 0, false
-		}
-		n = n*10 + d
+	if n == first || (!neg && u == 1<<63) {
+		return 0, n, false
 	}
 	if neg {
-		if n > 1<<63 {
-			return 0, false
-		}
-		return -int64(n), true // n == 1<<63 wraps to MinInt64, which is correct
+		return -int64(u), n, true // u == 1<<63 wraps to MinInt64, which is correct
 	}
-	if n > 1<<63-1 {
-		return 0, false
-	}
-	return int64(n), true
+	return int64(u), n, true
 }

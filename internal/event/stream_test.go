@@ -2,6 +2,7 @@ package event
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -125,19 +126,29 @@ func TestReaderSkipsCommentsAndBlanks(t *testing.T) {
 	}
 }
 
+// TestReaderErrors pins every decoder error message byte for byte:
+// each one reaches TCP clients as an #error line. Precedence is the
+// time field first, then arity, then the first bad value.
 func TestReaderErrors(t *testing.T) {
 	reg, _, _ := codecRegistry()
 	cases := []struct {
-		name, in string
+		name, in, want string
 	}{
-		{"unknown type", "Nope|1|2\n"},
-		{"bad time", "Toll|x|2\n"},
-		{"bad interval", "Toll|9~3|2\n"},
-		{"arity", "Toll|1|2|3\n"},
-		{"bad int", "Toll|1|abc\n"},
-		{"bad float", "PR|1|1|zz|travel|true\n"},
-		{"bad bool", "PR|1|1|1.0|travel|yes\n"},
-		{"no fields", "Toll\n"},
+		{"unknown type", "Nope|1|2\n", `event: line 1: unknown event type "Nope"`},
+		{"bad time", "Toll|x|2\n", `event: line 1: bad time "x"`},
+		{"bad interval", "Toll|9~3|2\n", `event: line 1: bad time interval "9~3"`},
+		{"arity", "Toll|1|2|3\n", `event: line 1: Toll expects 1 values, got 2`},
+		{"too few", "PR|1|1|2\n", `event: line 1: PR expects 4 values, got 2`},
+		{"no values", "Toll|1\n", `event: line 1: Toll expects 1 values, got 0`},
+		{"bad int", "Toll|1|abc\n", `event: line 1: Toll.vid: bad int "abc"`},
+		{"bad float", "PR|1|1|zz|travel|true\n", `event: line 1: PR.speed: bad float "zz"`},
+		{"bad bool", "PR|1|1|1.0|travel|yes\n", `event: line 1: PR.ok: bad bool "yes"`},
+		{"no fields", "Toll\n", `event: line 1: expected TypeName|time|values..., got "Toll"`},
+		{"arity before value", "Toll|1|abc|5\n", `event: line 1: Toll expects 1 values, got 2`},
+		{"time first", "Toll|x|abc|5\n", `event: line 1: bad time "x"`},
+		{"empty int", "Toll|1|\n", `event: line 1: Toll.vid: bad int ""`},
+		{"sign only", "Toll|1|+\n", `event: line 1: Toll.vid: bad int "+"`},
+		{"overflow", "Toll|1|9223372036854775808\n", `event: line 1: Toll.vid: bad int "9223372036854775808"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -145,10 +156,14 @@ func TestReaderErrors(t *testing.T) {
 			if e := r.Next(); e != nil {
 				t.Fatalf("decoded malformed input into %v", e)
 			}
-			if r.Err() == nil {
-				t.Error("Err() is nil for malformed input")
+			if r.Err() == nil || r.Err().Error() != c.want {
+				t.Errorf("Err() = %v, want %s", r.Err(), c.want)
 			}
 		})
+	}
+	r := NewReader(strings.NewReader("Toll|1|-9223372036854775808\n"), reg)
+	if e := r.Next(); e == nil || e.At(0).Int != math.MinInt64 || r.Err() != nil {
+		t.Errorf("MinInt64 decodes as %v, err %v", e, r.Err())
 	}
 }
 
