@@ -20,7 +20,10 @@
 // Sessions are isolated: every connection gets a fresh engine run
 // (own partitions, context windows and history), so one misbehaving
 // stream cannot corrupt another. Events within a connection must be
-// in non-decreasing time order, as everywhere in the engine.
+// in non-decreasing time order, as everywhere in the engine. Only the
+// decoder's buffers outlive a session: one idle event.Reader, with its
+// scan buffer and event slabs, is recycled into the next session once
+// the run that used it has returned.
 //
 // Derived lines are buffered and flushed whenever the engine has
 // delivered everything it holds (event.LineSink on the engine's
@@ -76,6 +79,13 @@ type Server struct {
 	writes telemetry.Counter
 	bytes  telemetry.Counter
 
+	// idle holds at most one idle session decoder, so a server keeps
+	// one reader's buffers however many sessions ran at once. Run
+	// returns only after every goroutine of the run has exited, so a
+	// returned reader's arena is referenced by nothing but a dropped
+	// engine.
+	idle chan *event.Reader
+
 	mu       sync.Mutex
 	sessions int
 }
@@ -99,7 +109,7 @@ func New(cfg Config) (*Server, error) {
 	if _, err := core.NewEngine(cfg.Model, cfg.Engine); err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, reg: cfg.Engine.Telemetry}
+	s := &Server{cfg: cfg, reg: cfg.Engine.Telemetry, idle: make(chan *event.Reader, 1)}
 	s.reg.Register("caesar_output_writes_total",
 		"Write calls on session connections (derived lines, trailers, errors).", &s.writes)
 	s.reg.Register("caesar_output_bytes_total",
@@ -146,7 +156,19 @@ func (s *Server) handle(conn net.Conn) {
 		fmt.Fprintf(out, "#error %v\n", err)
 		return
 	}
-	st, err := eng.Run(event.NewReader(conn, s.cfg.Model.Registry))
+	var rd *event.Reader
+	select {
+	case rd = <-s.idle:
+		rd.Reset(conn)
+	default:
+		rd = event.NewReader(conn, s.cfg.Model.Registry)
+	}
+	st, err := eng.Run(rd)
+	rd.Reset(nil)
+	select {
+	case s.idle <- rd:
+	default: // another session's reader is already idle
+	}
 	if sink.Close() != nil {
 		return // the client is gone; out has closed the connection
 	}

@@ -106,6 +106,20 @@ echo "== bench guard (whole-run alloc ceilings)"
 check_alloc_ceiling 'BenchmarkEngineSharded$/shards=2$' . 50
 check_alloc_ceiling 'BenchmarkEngineContextAware$' . 7000
 
+# Per-session byte ceiling: the server recycles its idle session
+# decoder, so a session of 19 200 events no longer pays for a fresh
+# scan buffer and event slabs. Measured at -benchtime=100x on a 2-core
+# x86-64 box: 8.06-8.10 MB/op when every session built its own reader,
+# 0.98-1.16 MB/op with the recycled one. The ceiling is a quarter of
+# the former.
+echo "== bench guard (per-session bytes)"
+out=$(go test -run=NONE -bench='BenchmarkServerSessions$' -benchmem -benchtime=100x ./internal/server/)
+echo "$out"
+if echo "$out" | awk '/B\/op/ && $(NF-3) + 0 > 2000000 { bad = 1 } END { exit !bad }'; then
+    echo "bench-guard: BenchmarkServerSessions above 2000000 B/op" >&2
+    exit 1
+fi
+
 # Differentials under the race detector, at higher counts than the
 # suite-wide pass. Every toll run configuration (worker pool, wire and
 # generator ingest, 1/2/4 shards, fused plan, 64-event derived slabs)
@@ -113,10 +127,15 @@ check_alloc_ceiling 'BenchmarkEngineContextAware$' . 7000
 # must stay emission-identical to the pre-arena reference kernel
 # (refPattern) and the brute-force enumerator; chained derived events
 # must survive slab recycling; cached-run reuse must reproduce a run
-# exactly (DESIGN.md §3.4-§3.8); and the run driver must trace no
-# replayed tick and reap every goroutine it starts.
+# exactly (DESIGN.md §3.4-§3.8); the run driver must trace no
+# replayed tick and reap every goroutine it starts; and server
+# sessions on recycled decoders must answer as on fresh ones.
 echo "== go test -race (toll fingerprint, kernel, arena and reuse differentials)"
-go test -race -count=2 -run 'TestTollFingerprint|TestIngestPathsByteIdentical|TestShardedTollByteIdentical|TestDerivedArenaTollByteIdentical|TestKernelDifferentialFuzz|TestPatternKernelEquivalence|TestPatternMatchesBruteForce|TestDerivedChainSurvivesReclamation|TestRunReuseIdenticalOutputs|TestShardedMatchesLegacy|TestShardedOrderedOutput|TestSpscRing|TestReplayedTicksUntraced|TestRunLeavesNoGoroutines' . ./internal/algebra/ ./internal/runtime/
+go test -race -count=2 -run 'TestTollFingerprint|TestIngestPathsByteIdentical|TestShardedTollByteIdentical|TestDerivedArenaTollByteIdentical|TestKernelDifferentialFuzz|TestPatternKernelEquivalence|TestPatternMatchesBruteForce|TestDerivedChainSurvivesReclamation|TestRunReuseIdenticalOutputs|TestShardedMatchesLegacy|TestShardedOrderedOutput|TestSpscRing|TestReplayedTicksUntraced|TestRunLeavesNoGoroutines|TestSessionReuse' . ./internal/algebra/ ./internal/runtime/ ./internal/server/
+
+# Bounded fuzz smoke of the wire decoder against its reference parser.
+echo "== fuzz smoke (FuzzReader, 10s)"
+go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/event/
 
 # The engine never sizes itself from GOMAXPROCS, so the runtime and the
 # root differentials must pass the same way on one, two and eight cores.
