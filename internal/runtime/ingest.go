@@ -217,9 +217,13 @@ func (e *Engine) newRun() *run {
 	r.workers = make([]*worker, n)
 	for i := range r.workers {
 		// One message per tick: a worker may lag the distributor by
-		// 256 ticks before dispatch blocks on it.
+		// 32 ticks before dispatch blocks on it. The reclaim watermark
+		// follows the slowest worker, so this bound is also how far it
+		// trails dispatch (plus the slack): with room for a whole
+		// short stream, a starved worker could keep decode from
+		// reclaiming any slab.
 		r.workers[i] = newWorker(e, i, rm)
-		r.workers[i].ch = make(chan txnMsg, 256)
+		r.workers[i].ch = make(chan txnMsg, 32)
 	}
 	d := newDistributor(r.workers, e.cfg.PartitionBy)
 	d.rm, d.trace = rm, &r.trace

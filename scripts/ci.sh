@@ -110,8 +110,9 @@ check_alloc_ceiling 'BenchmarkEngineContextAware$' . 7000
 # decoder, so a session of 19 200 events no longer pays for a fresh
 # scan buffer and event slabs. Measured at -benchtime=100x on a 2-core
 # x86-64 box: 8.06-8.10 MB/op when every session built its own reader,
-# 0.98-1.16 MB/op with the recycled one. The ceiling is a quarter of
-# the former.
+# 0.98-1.16 MB/op with the recycled one, 0.56 MB/op once the worker
+# pool's queues were bounded at 32 ticks. The ceiling is a quarter of
+# the first figure.
 echo "== bench guard (per-session bytes)"
 out=$(go test -run=NONE -bench='BenchmarkServerSessions$' -benchmem -benchtime=100x ./internal/server/)
 echo "$out"
